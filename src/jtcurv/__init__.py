@@ -35,7 +35,6 @@ from .planewave import (
     CoordTensor,
     PlaneWaveMetric,
     christoffel,
-    contract,
     covariant_derivative_R,
     curvature_at,
     curvature_generic,

@@ -36,26 +36,36 @@ def _load_json(path):
         raise UsageError(f"cannot read {path}: {err}") from err
 
 
+def _parse_file(path, from_json):
+    """from_json of the file's JSON; a value of the wrong JSON type (a
+    boolean or list where a scalar belongs, ...) is a usage error."""
+    obj = _load_json(path)
+    try:
+        return from_json(obj)
+    except (TypeError, AttributeError) as err:
+        raise UsageError(f"malformed {path}: {err}") from err
+
+
 def _load_model(name):
     if name == "m14":
         return models.build_m14()
-    return models.Model0.from_json(_load_json(name))
+    return _parse_file(name, models.Model0.from_json)
 
 
 def _load_metric(name, params, mode):
     if name == "m-phi":
         if not params:
             raise UsageError("m-phi needs --params with a phi family")
-        fam = realizations.PhiFamily.from_json(_load_json(params))
+        fam = _parse_file(params, realizations.PhiFamily.from_json)
         return realizations.build_M_Phi(fam)
     if name == "m-a":
         if not params:
             raise UsageError("m-a needs --params with the a coefficients")
-        fam = realizations.AFamily.from_json(_load_json(params))
+        fam = _parse_file(params, realizations.AFamily.from_json)
         if mode == "float":
             fam = realizations.AFamily({k: float(v) for k, v in fam.a.items()})
         return realizations.build_M_A(fam)
-    return planewave.PlaneWaveMetric.from_json(_load_json(name))
+    return _parse_file(name, planewave.PlaneWaveMetric.from_json)
 
 
 def _random_point(rng, n, mode):
@@ -179,15 +189,17 @@ def cmd_geometry(args):
     checks = []
     sub = args.sub
 
-    def sample_points(count):
+    def given_or_sampled(count):
+        """The --point, or count random points (--points overrides count)."""
+        if args.point:
+            return [_point_from_arg(args.point, M.n, args.mode)]
         mode = args.mode
         if mode == "rational" and M.has_transcendental():
             mode = "float"
-        return [_random_point(rng, M.n, mode) for _ in range(count)]
+        return [_random_point(rng, M.n, mode) for _ in range(args.points or count)]
 
     if sub == "curvature":
-        pts = [_point_from_arg(args.point, M.n, args.mode)] if args.point \
-            else sample_points(args.points or 1)
+        pts = given_or_sampled(1)
         out = []
         for P in pts:
             T = planewave.curvature_at(M, P)
@@ -200,8 +212,7 @@ def cmd_geometry(args):
         checks.append(models.CheckReport("curvature-evaluated", True,
                                          stats={"points": len(pts)}))
     elif sub == "nabla-r":
-        pts = [_point_from_arg(args.point, M.n, args.mode)] if args.point \
-            else sample_points(args.points or 1)
+        pts = given_or_sampled(1)
         out = []
         for P in pts:
             T = planewave.covariant_derivative_R(M, P, args.order)
@@ -212,7 +223,7 @@ def cmd_geometry(args):
         checks.append(models.CheckReport(f"nabla-r-order-{args.order}", True,
                                          stats={"points": len(pts)}))
     elif sub == "verify-0-model":
-        pts = sample_points(args.points or 10)
+        pts = given_or_sampled(10)
         for i, P in enumerate(pts):
             rep = realizations.verify_0_model(M, P, rel=args.tol)
             if not rep.holds:

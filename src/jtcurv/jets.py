@@ -4,13 +4,11 @@ A jet holds the mixed partial derivatives of a function at a point, along a
 chosen list of variable directions, up to a total order k.  Derivatives are
 obtained by exact symbolic differentiation of the expression tree and
 pointwise evaluation, so jets of polynomials in rational mode are exact.
-Jet arithmetic implements the Leibniz rule on raw derivative tables.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,14 +23,6 @@ def _multi_indices(ndirs, k):
                 mi[d] += 1
             out.append(tuple(mi))
     return out
-
-
-def _binom_mi(a, b):
-    """Product of binomial(a_i, b_i) over slots."""
-    r = 1
-    for x, y in zip(a, b):
-        r *= math.comb(x, y)
-    return r
 
 
 @dataclass(frozen=True)
@@ -62,32 +52,6 @@ class Jet:
         if len(self.dirs) != 1:
             raise ValueError("as_tuple applies to univariate jets only")
         return tuple(self.coeffs[(m,)] for m in range(self.order + 1))
-
-    def _compatible(self, other):
-        if self.point != other.point or self.dirs != other.dirs:
-            raise ValueError("jet arithmetic requires matching base point and directions")
-
-    def __add__(self, other):
-        self._compatible(other)
-        k = min(self.order, other.order)
-        coeffs = {mi: self.coeffs[mi] + other.coeffs[mi]
-                  for mi in _multi_indices(len(self.dirs), k)}
-        return Jet(self.point, self.dirs, k, coeffs)
-
-    def __mul__(self, other):
-        """Leibniz product: D^a(fg) = sum_{b<=a} C(a,b) D^b f D^(a-b) g."""
-        self._compatible(other)
-        k = min(self.order, other.order)
-        nd = len(self.dirs)
-        coeffs = {}
-        for mi in _multi_indices(nd, k):
-            s = 0
-            ranges = [range(m + 1) for m in mi]
-            for sub in itertools.product(*ranges):
-                rest = tuple(m - s_ for m, s_ in zip(mi, sub))
-                s += _binom_mi(mi, sub) * self.coeffs[sub] * other.coeffs[rest]
-            coeffs[mi] = s
-        return Jet(self.point, self.dirs, k, coeffs)
 
 
 def jet_eval(f, point, dirs, k):

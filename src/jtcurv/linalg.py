@@ -20,10 +20,6 @@ class SingularMatrixError(ValueError):
     """Raised when a matrix inverse/solve hits a singular matrix."""
 
 
-def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -44,17 +40,6 @@ def mat_mul(A, B):
                 if b != 0:
                     row[j] += a * b
     return [[Fraction(x) if not isinstance(x, float) else x for x in row] for row in out]
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        s = 0
-        for a, x in zip(row, v):
-            if a != 0 and x != 0:
-                s += a * x
-        out.append(s)
-    return tuple(out)
 
 
 def transpose(A):
@@ -268,11 +253,3 @@ class BilinearForm:
 
     def __repr__(self):
         return f"BilinearForm({self.entries!r})"
-
-
-def signature(form: BilinearForm):
-    return form.signature()
-
-
-def invert_form(form: BilinearForm) -> BilinearForm:
-    return form.inverse()

@@ -102,12 +102,6 @@ class CurvatureTensor:
         return isinstance(other, CurvatureTensor) and self.n == other.n \
             and self.data == other.data
 
-    def close_to(self, other, rel):
-        from .scalars import close
-        keys = set(self.data) | set(other.data)
-        return all(close(self.data.get(k, 0), other.data.get(k, 0), rel=rel)
-                   for k in keys)
-
 
 @dataclass
 class CheckReport:

@@ -9,6 +9,20 @@ structure gives the Christoffel cascade x -> y -> x*: geodesics integrate by
 iterated quadrature and every curvature component with an x* index or more
 than one y index vanishes, which is what keeps the iterated covariant
 derivatives of R tractable.
+
+The Christoffel symbols of the second kind are held once per metric, in the
+lazily built table ``PlaneWaveMetric.gamma``: gamma[(u, v)][f] lists terms
+(coef, expr, y), keyed with u <= v, such that
+    Gamma^f_uv(P) = sum coef * expr(x) * (P[y] if y is not None else 1).
+Every symbol is affine in the y coordinates, x* is never a lower index, and
+the only nonzero entries are
+    Gamma^{x*_k}_{x_i x_j}  = sum_mu y_mu (d_i psi_{jk,mu} + d_j psi_{ik,mu}
+                                           - d_k psi_{ij,mu}),
+    Gamma^{y_mu}_{x_i x_j}  = -sum_nu C^{mu nu} psi_{ij,nu},
+    Gamma^{x*_k}_{x_i y_nu} = psi_{ik,nu}.
+christoffel, curvature_generic, the covariant-derivative engine and both
+geodesic paths read it; curvature_at stays closed-form on the psi partials,
+so curvature_generic is an independent check of the table.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ class PlaneWaveMetric:
             self.psi[key] = fns
         self._cinv = None
         self._dcache = {}
+        self._gamma = None
 
     @property
     def n(self):
@@ -53,6 +68,34 @@ class PlaneWaveMetric:
         if self._cinv is None:
             self._cinv = mat_inv(self.C.entries)
         return self._cinv
+
+    @property
+    def gamma(self):
+        """The Christoffel table described in the module docstring."""
+        if self._gamma is None:
+            a, b = self.a, self.b
+            tbl = {}
+
+            def put(u, v, f, coef, expr, y=None):
+                if expr is not None and not expr.is_zero_const():
+                    tbl.setdefault((u, v), {}).setdefault(f, []).append((coef, expr, y))
+
+            for i in range(a):
+                for j in range(i, a):
+                    for k in range(a):
+                        for mu in range(b):
+                            put(i, j, self.xsi(k), 1, self.dpsi(j, k, mu, (i,)), self.yi(mu))
+                            put(i, j, self.xsi(k), 1, self.dpsi(i, k, mu, (j,)), self.yi(mu))
+                            put(i, j, self.xsi(k), -1, self.dpsi(i, j, mu, (k,)), self.yi(mu))
+                    for mu in range(b):
+                        for nu in range(b):
+                            if self.cinv[mu][nu] != 0:
+                                put(i, j, self.yi(mu), -self.cinv[mu][nu], self.psi_fn(i, j, nu))
+                for nu in range(b):
+                    for k in range(a):
+                        put(i, self.yi(nu), self.xsi(k), 1, self.psi_fn(i, k, nu))
+            self._gamma = tbl
+        return self._gamma
 
     # coordinate index helpers (0-based block layout)
     def xi(self, i):
@@ -154,23 +197,6 @@ class CoordTensor:
         return max((abs(v) for v in self.comps.values()), default=Fraction(0))
 
 
-def contract(T: CoordTensor, vectors):
-    """Multilinear contraction of T against one vector per slot."""
-    if len(vectors) != sum(T.valence):
-        raise ValueError("slot count does not match valence")
-    s = 0
-    for idx, v in T.comps.items():
-        term = v
-        for slot, i in enumerate(idx):
-            c = vectors[slot][i]
-            if c == 0:
-                term = 0
-                break
-            term = term * c
-        s += term
-    return s
-
-
 # ---------------------------------------------------------------------------
 # metric and Christoffel symbols
 
@@ -198,62 +224,47 @@ def metric_at(M: PlaneWaveMetric, P) -> BilinearForm:
     return BilinearForm(G)
 
 
-def _w_val(M, i, j, k, x, extra=()):
-    """W_{ijk} = d_i psi_jk + d_j psi_ik - d_k psi_ij, per y index mu."""
-    out = []
-    for mu in range(M.b):
-        v = M.dpsi_val(j, k, mu, (i,) + tuple(extra), x) \
-            + M.dpsi_val(i, k, mu, (j,) + tuple(extra), x) \
-            - M.dpsi_val(i, j, mu, (k,) + tuple(extra), x)
-        out.append(v)
-    return out
+def _gamma_at(terms, P, a, xpartials=(), dy=None):
+    """A table entry, or its partial by the x indices xpartials and by the y
+    coordinate dy, at P."""
+    x = P[:a]
+    total = 0
+    for coef, expr, y in terms:
+        if dy is not None and y != dy:
+            continue
+        for d in xpartials:
+            expr = expr.diff(d + 1)
+        if expr.is_zero_const():
+            continue
+        val = coef * expr.eval(x)
+        total += val if y is None or dy is not None else val * P[y]
+    return total
 
 
 def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
-    """Christoffel symbols at P.
+    """Christoffel symbols at P, read from the table M.gamma.
 
-    kind="first": comps[(u,v,w)] = Gamma_{uv,w} = g(nabla_u dv, dw).
     kind="second": comps[(u,v,f)] = Gamma^f_{uv}.  All symbols with an x*
     index among u, v vanish; outputs f are x* or y only.
+    kind="first": comps[(u,v,w)] = Gamma_{uv,w} = g(nabla_u dv, dw), the
+    second kind lowered by metric_at.
     """
-    a, b = M.a, M.b
-    x = tuple(P[:a])
-    y = P[2 * a:]
+    P = tuple(P)
     comps = {}
-
-    def put(u, v, w, val):
-        if not iszero(val):
-            comps[(u, v, w)] = val
-            if u != v:
-                comps[(v, u, w)] = val
-
-    for i in range(a):
-        for j in range(i, a):
-            if kind == "first":
-                for k in range(a):
-                    W = _w_val(M, i, j, k, x)
-                    s = sum(y[mu] * W[mu] for mu in range(b) if y[mu] != 0 and W[mu] != 0)
-                    put(M.xi(i), M.xi(j), M.xi(k), s)
-                for nu in range(b):
-                    put(M.xi(i), M.xi(j), M.yi(nu), -M.dpsi_val(i, j, nu, (), x))
-            else:
-                for k in range(a):
-                    W = _w_val(M, i, j, k, x)
-                    s = sum(y[mu] * W[mu] for mu in range(b) if y[mu] != 0 and W[mu] != 0)
-                    put(M.xi(i), M.xi(j), M.xsi(k), s)
-                for mu in range(b):
-                    s = -sum(M.cinv[mu][nu] * M.dpsi_val(i, j, nu, (), x)
-                             for nu in range(b) if M.cinv[mu][nu] != 0)
-                    put(M.xi(i), M.xi(j), M.yi(mu), s)
-    for i in range(a):
-        for nu in range(b):
-            for k in range(a):
-                v = M.dpsi_val(i, k, nu, (), x)
-                if kind == "first":
-                    put(M.xi(i), M.yi(nu), M.xi(k), v)
-                else:
-                    put(M.xi(i), M.yi(nu), M.xsi(k), v)
-    return CoordTensor(M.n, (2, 1) if kind == "second" else (3, 0), comps)
+    for (u, v), row in M.gamma.items():
+        for f, terms in row.items():
+            val = _gamma_at(terms, P, M.a)
+            if not iszero(val):
+                comps[(u, v, f)] = comps[(v, u, f)] = val
+    if kind != "first":
+        return CoordTensor(M.n, (2, 1), comps)
+    g = metric_at(M, P).entries
+    low = {}
+    for (u, v, f), val in comps.items():
+        for w, gfw in enumerate(g[f]):
+            if gfw != 0:
+                low[(u, v, w)] = low.get((u, v, w), 0) + val * gfw
+    return CoordTensor(M.n, (3, 0), {k: s for k, s in low.items() if not iszero(s)})
 
 
 # ---------------------------------------------------------------------------
@@ -315,54 +326,27 @@ def curvature_at(M: PlaneWaveMetric, P) -> CoordTensor:
 
 
 def _gamma2_sparse(M, P):
-    """Second-kind symbols and their coordinate partials, sparsely.
+    """Second-kind symbols and their coordinate partials, from the table.
 
     Returns (gam, dgam): gam[(u,v)] = {f: value}; dgam[w][(u,v)] = {f: value}
-    for the partial with respect to coordinate w.
+    for the partial with respect to coordinate w (no symbol depends on x*).
     """
-    a, b = M.a, M.b
-    x = tuple(P[:a])
-    y = P[2 * a:]
+    P = tuple(P)
     gam = {}
     dgam = {}
 
     def add(tbl, u, v, f, val):
-        if iszero(val):
-            return
-        tbl.setdefault((u, v), {}).setdefault(f, Fraction(0))
-        tbl[(u, v)][f] += val
-        if u != v:
-            tbl.setdefault((v, u), {})[f] = tbl[(u, v)][f]
+        if not iszero(val):
+            tbl.setdefault((u, v), {})[f] = val
+            tbl.setdefault((v, u), {})[f] = val
 
-    for i in range(a):
-        for j in range(i, a):
-            for k in range(a):
-                W = _w_val(M, i, j, k, x)
-                s = sum(y[mu] * W[mu] for mu in range(b) if y[mu] != 0 and W[mu] != 0)
-                add(gam, M.xi(i), M.xi(j), M.xsi(k), s)
-                for lam in range(b):
-                    dg = dgam.setdefault(M.yi(lam), {})
-                    add(dg, M.xi(i), M.xi(j), M.xsi(k), W[lam])
-                for l in range(a):
-                    dW = _w_val(M, i, j, k, x, extra=(l,))
-                    sv = sum(y[mu] * dW[mu] for mu in range(b)
-                             if y[mu] != 0 and dW[mu] != 0)
-                    add(dgam.setdefault(M.xi(l), {}), M.xi(i), M.xi(j), M.xsi(k), sv)
-            for mu in range(b):
-                s = -sum(M.cinv[mu][nu] * M.dpsi_val(i, j, nu, (), x)
-                         for nu in range(b) if M.cinv[mu][nu] != 0)
-                add(gam, M.xi(i), M.xi(j), M.yi(mu), s)
-                for l in range(a):
-                    sv = -sum(M.cinv[mu][nu] * M.dpsi_val(i, j, nu, (l,), x)
-                              for nu in range(b) if M.cinv[mu][nu] != 0)
-                    add(dgam.setdefault(M.xi(l), {}), M.xi(i), M.xi(j), M.yi(mu), sv)
-    for i in range(a):
-        for nu in range(b):
-            for k in range(a):
-                add(gam, M.xi(i), M.yi(nu), M.xsi(k), M.dpsi_val(i, k, nu, (), x))
-                for l in range(a):
-                    add(dgam.setdefault(M.xi(l), {}), M.xi(i), M.yi(nu), M.xsi(k),
-                        M.dpsi_val(i, k, nu, (l,), x))
+    for (u, v), row in M.gamma.items():
+        for f, terms in row.items():
+            add(gam, u, v, f, _gamma_at(terms, P, M.a))
+            for l in range(M.a):
+                add(dgam.setdefault(l, {}), u, v, f, _gamma_at(terms, P, M.a, (l,)))
+            for y in sorted({t[2] for t in terms if t[2] is not None}):
+                add(dgam.setdefault(y, {}), u, v, f, _gamma_at(terms, P, M.a, dy=y))
     return gam, dgam
 
 
@@ -416,10 +400,12 @@ class _CovREngine:
 
     def __init__(self, M: PlaneWaveMetric, P):
         self.M = M
-        self.x = tuple(P[:M.a])
-        self.y = tuple(P[2 * M.a:])
+        self.P = tuple(P)
+        self.x = self.P[:M.a]
+        self.y = self.P[2 * M.a:]
         self.memo = {}
         self._texpr = {}
+        self._gmemo = {}
 
     def _kind(self, idx):
         return self.M.coord_kind(idx)
@@ -455,25 +441,27 @@ class _CovREngine:
         total = self.value(idx4, rest, partials + (e,))
         if self._kind(e) != "x":
             return total
-        # Christoffel corrections: only f of y type can contribute, and the
-        # symbol Gamma^{y_mu}_{e, s} is nonzero only for s of x type
+        # Christoffel corrections: only f of y type can contribute (the
+        # tensor vanishes on x*), and Gamma^{y_mu}_{e, s} needs s of x type
         slots = idx4 + rest
         xpartials = [p for p in partials if self._kind(p) == "x"]
         ypartials = [p for p in partials if self._kind(p) == "y"]
         for s_pos, s in enumerate(slots):
             if self._kind(s) != "x":
                 continue
-            for mu in range(M.b):
-                f = M.yi(mu)
+            for f, terms in M.gamma.get((min(e, s), max(e, s)), {}).items():
+                if self._kind(f) != "y":
+                    continue
                 # split the x partials between the symbol and the tensor
                 for r in range(len(xpartials) + 1):
                     for sub in set(itertools.combinations(range(len(xpartials)), r)):
                         p1 = tuple(xpartials[t] for t in sub)
                         p2 = tuple(xpartials[t] for t in range(len(xpartials))
                                    if t not in sub) + tuple(ypartials)
-                        gval = -sum(M.cinv[mu][nu]
-                                    * M.dpsi_val(e, s, nu, tuple(p1), self.x)
-                                    for nu in range(M.b) if M.cinv[mu][nu] != 0)
+                        key = (e, s, f, p1)
+                        gval = self._gmemo.get(key)
+                        if gval is None:
+                            gval = self._gmemo[key] = _gamma_at(terms, self.P, M.a, p1)
                         if gval == 0:
                             continue
                         if s_pos < 4:
@@ -567,6 +555,21 @@ class _CovREngine:
         return total
 
 
+def nabla_R_support(M: PlaneWaveMetric, k):
+    """All index tuples of nabla^k R that can be nonzero: every index of x
+    type, or exactly one of y type.  Pure-x tuples come first: those carry
+    the quadratic terms that survive differentiation, so any nonzero shows
+    up early in a lazy scan."""
+    xs = list(range(M.a))
+    ys = [M.yi(m) for m in range(M.b)]
+    total = 4 + k
+    yield from itertools.product(xs, repeat=total)
+    for pos in range(total):
+        for yidx in ys:
+            for xtup in itertools.product(xs, repeat=total - 1):
+                yield xtup[:pos] + (yidx,) + xtup[pos:]
+
+
 def covariant_derivative_R(M: PlaneWaveMetric, P, k: int) -> CoordTensor:
     """nabla^k R at P as a sparse CoordTensor of valence (4, k).
 
@@ -576,23 +579,11 @@ def covariant_derivative_R(M: PlaneWaveMetric, P, k: int) -> CoordTensor:
     if k < 0:
         raise ValueError("order must be nonnegative")
     eng = _CovREngine(M, P)
-    xs = list(range(M.a))
-    ys = [M.yi(m) for m in range(M.b)]
-    total_slots = 4 + k
     comps = {}
-
-    def record(idx):
+    for idx in nabla_R_support(M, k):
         v = eng.value(idx[:4], idx[4:])
         if not iszero(v):
             comps[idx] = v
-
-    for xtup in itertools.product(xs, repeat=total_slots):
-        record(xtup)
-    for pos in range(total_slots):
-        for yidx in ys:
-            for xtup in itertools.product(xs, repeat=total_slots - 1):
-                idx = xtup[:pos] + (yidx,) + xtup[pos:]
-                record(idx)
     return CoordTensor(M.n, (4, k), comps)
 
 
@@ -604,13 +595,12 @@ def nabla_R_component(M: PlaneWaveMetric, P, idx4, dirs):
 def nabla_R_frame(M: PlaneWaveMetric, P, vecs4, dvecs, engine=None):
     """nabla^k R evaluated on arbitrary tangent vectors at P."""
     eng = engine if engine is not None else _CovREngine(M, P)
-    a = M.a
+    vecs = list(vecs4) + list(dvecs)
     supports = []
-    for v in list(vecs4) + list(dvecs):
+    for v in vecs:
         sup = [i for i, c in enumerate(v) if c != 0 and M.coord_kind(i) != "x*"]
         supports.append(sup)
     total = 0
-    vecs = list(vecs4) + list(dvecs)
     for combo in itertools.product(*supports):
         if sum(1 for i in combo if M.coord_kind(i) == "y") >= 2:
             continue
@@ -627,156 +617,114 @@ def nabla_R_frame(M: PlaneWaveMetric, P, vecs4, dvecs, engine=None):
 # geodesics and the exponential map
 
 
+def _resolve_quadrature(M, values, quadrature):
+    """"auto" becomes "exact-poly" for rational data on polynomial warping
+    functions and "adaptive" otherwise; "exact-poly" is checked."""
+    exact = all(is_exact(c) for c in values) and not M.has_transcendental()
+    if quadrature == "exact-poly" and not exact:
+        raise ValueError("exact-poly quadrature needs rational data and "
+                         "polynomial warping functions")
+    if quadrature == "auto":
+        return "exact-poly" if exact else "adaptive"
+    return quadrature
+
+
 class _Geodesic:
-    """Cascade-integrated geodesic through P with initial velocity v."""
+    """Cascade-integrated geodesic through P with initial velocity v.
+
+    x is affine in t; y'' and then x*'' are the Christoffel table contracted
+    once with the x velocities, which stay constant.  The cascade evaluates
+    those terms at Poly arguments and integrates with Poly.integrate
+    ("exact-poly"), or at floats under adaptive scipy quadrature.
+    """
 
     def __init__(self, M: PlaneWaveMetric, P, v, quadrature="auto"):
-        a, b = M.a, M.b
         self.M = M
         self.P = tuple(P)
         self.v = tuple(v)
-        exact = all(is_exact(c) for c in tuple(P) + tuple(v)) \
-            and not M.has_transcendental()
-        if quadrature == "exact-poly" and not exact:
-            raise ValueError("exact-poly quadrature needs rational data and "
-                             "polynomial warping functions")
-        if quadrature == "auto":
-            quadrature = "exact-poly" if exact else "adaptive"
-        self.quadrature = quadrature
-        if quadrature == "exact-poly":
+        self.quadrature = _resolve_quadrature(M, self.P + self.v, quadrature)
+        if self.quadrature == "exact-poly":
+            self._contract(self.v)
             self._build_exact()
         else:
-            self._prepare_float()
+            from scipy.integrate import quad
+            self._quad = quad
+            self.Pf = tuple(float(c) for c in self.P)
+            self.vf = tuple(float(c) for c in self.v)
+            self._contract(self.vf)
+
+    def _contract(self, v):
+        """Contract the table with v once: terms[f][(y, ydot)] lists (c, expr)
+        such that gamma''_f = sum over the groups of sum c * expr(x) times
+        gamma_y times gamma'_ydot, a factor being 1 when its index is None."""
+        M = self.M
+        self.terms = {}
+        for (u, w), row in M.gamma.items():
+            # u is of x type; w is of x type (factor v_w) or y type (factor y_w')
+            ydot = w if M.coord_kind(w) == "y" else None
+            vel = (1 if u == w else 2) * v[u] * (1 if ydot is not None else v[w])
+            if vel == 0:
+                continue
+            for f, terms in row.items():
+                for coef, expr, y in terms:
+                    self.terms.setdefault(f, {}).setdefault((y, ydot), []).append(
+                        (-coef * vel, expr))
+
+    def _accel(self, f, x, pos=None, vel=None):
+        """gamma''_f at x; pos(c) and vel(c) give gamma_c and gamma'_c."""
+        total = 0
+        for (y, ydot), terms in self.terms.get(f, {}).items():
+            s = sum(c * expr.eval(x) for c, expr in terms)
+            if y is not None:
+                s = s * pos(y)
+            if ydot is not None:
+                s = s * vel(ydot)
+            total = total + s
+        return total
 
     # ---- exact polynomial mode ----
     def _build_exact(self):
         M, P, v = self.M, self.P, self.v
-        a, b = M.a, M.b
-        t = Poly.t()
-        xpol = [Poly([P[i], v[i]]) for i in range(a)]
-        vx = [Fraction(v[i]) for i in range(a)]
-
-        def psi_poly(i, j, mu, derivs=()):
-            f = M.dpsi(i, j, mu, derivs)
-            if f is None or f.is_zero_const():
-                return Poly()
-            r = f.eval(xpol)
-            return r if isinstance(r, Poly) else Poly.const(r)
-
-        fpol = []
-        for mu in range(b):
-            s = Poly()
-            for nu in range(b):
-                c = M.cinv[mu][nu]
-                if c == 0:
-                    continue
-                inner = Poly()
-                for i in range(a):
-                    for j in range(a):
-                        if vx[i] != 0 and vx[j] != 0:
-                            inner = inner + vx[i] * vx[j] * psi_poly(i, j, nu)
-                s = s + c * inner
-            fpol.append(s)
-        ypol = [Poly([P[M.yi(mu)], v[M.yi(mu)]]) + fpol[mu].integrate().integrate()
-                for mu in range(b)]
-        ydot = [p.deriv() for p in ypol]
-        xspol = []
-        for k in range(a):
-            G = Poly()
-            for i in range(a):
-                for j in range(a):
-                    if vx[i] == 0 or vx[j] == 0:
-                        continue
-                    for mu in range(b):
-                        w = psi_poly(j, k, mu, (i,)) + psi_poly(i, k, mu, (j,)) \
-                            - psi_poly(i, j, mu, (k,))
-                        if not w.is_zero():
-                            G = G + vx[i] * vx[j] * (ypol[mu] * w)
-            for i in range(a):
-                if vx[i] == 0:
-                    continue
-                for nu in range(b):
-                    p = psi_poly(i, k, nu)
-                    if not p.is_zero():
-                        G = G + 2 * vx[i] * (p * ydot[nu])
-            G = -G
-            xspol.append(Poly([P[M.xsi(k)], v[M.xsi(k)]]) + G.integrate().integrate())
-        self.polys = xpol + xspol + ypol
+        polys = [Poly([P[c], v[c]]) for c in range(M.n)]
+        xpol = polys[:M.a]
+        ys = range(2 * M.a, M.n)
+        for f in ys:
+            polys[f] += (Poly() + self._accel(f, xpol)).integrate().integrate()
+        ydot = {f: polys[f].deriv() for f in ys}
+        for f in range(M.a, 2 * M.a):
+            acc = Poly() + self._accel(f, xpol, polys.__getitem__, ydot.__getitem__)
+            polys[f] += acc.integrate().integrate()
+        self.polys = polys
 
     # ---- adaptive float mode ----
-    def _prepare_float(self):
-        M = self.M
-        self.Pf = tuple(float(c) for c in self.P)
-        self.vf = tuple(float(c) for c in self.v)
-        from scipy.integrate import quad
-        self._quad = quad
-
     def _x_at(self, t):
         a = self.M.a
         return tuple(self.Pf[i] + t * self.vf[i] for i in range(a))
 
-    def _F(self, mu, s):
-        M = self.M
-        a, b = M.a, M.b
-        x = self._x_at(s)
-        tot = 0.0
-        for nu in range(b):
-            c = M.cinv[mu][nu]
-            if c == 0:
-                continue
-            inner = 0.0
-            for i in range(a):
-                for j in range(a):
-                    if self.vf[i] != 0.0 and self.vf[j] != 0.0:
-                        f = M.psi_fn(i, j, nu)
-                        if f is not None:
-                            inner += self.vf[i] * self.vf[j] * float(f.eval(x))
-            tot += float(c) * inner
-        return tot
+    def _F(self, f, s):
+        """y'' for the y coordinate f at parameter s."""
+        return self._accel(f, self._x_at(s))
 
-    def _y_at(self, mu, t):
-        M = self.M
-        base = self.Pf[M.yi(mu)] + t * self.vf[M.yi(mu)]
+    def _y_at(self, f, t):
+        base = self.Pf[f] + t * self.vf[f]
         if t == 0.0:
             return base
-        val, _ = self._quad(lambda s: (t - s) * self._F(mu, s), 0.0, t,
+        val, _ = self._quad(lambda s: (t - s) * self._F(f, s), 0.0, t,
                             epsabs=1e-12, epsrel=1e-12, limit=200)
         return base + val
 
-    def _ydot_at(self, mu, t):
-        M = self.M
-        base = self.vf[M.yi(mu)]
+    def _ydot_at(self, f, t):
+        base = self.vf[f]
         if t == 0.0:
             return base
-        val, _ = self._quad(lambda s: self._F(mu, s), 0.0, t,
+        val, _ = self._quad(lambda s: self._F(f, s), 0.0, t,
                             epsabs=1e-12, epsrel=1e-12, limit=200)
         return base + val
 
-    def _G(self, k, s):
-        M = self.M
-        a, b = M.a, M.b
-        x = self._x_at(s)
-        yv = [self._y_at(mu, s) for mu in range(b)]
-        ydv = [self._ydot_at(nu, s) for nu in range(b)]
-        tot = 0.0
-        for i in range(a):
-            if self.vf[i] == 0.0:
-                continue
-            for j in range(a):
-                if self.vf[j] == 0.0:
-                    continue
-                for mu in range(b):
-                    if yv[mu] == 0.0:
-                        continue
-                    w = float(M.dpsi_val(j, k, mu, (i,), x)) \
-                        + float(M.dpsi_val(i, k, mu, (j,), x)) \
-                        - float(M.dpsi_val(i, j, mu, (k,), x))
-                    tot += self.vf[i] * self.vf[j] * yv[mu] * w
-            for nu in range(b):
-                f = M.psi_fn(i, k, nu)
-                if f is not None and ydv[nu] != 0.0:
-                    tot += 2.0 * self.vf[i] * float(f.eval(x)) * ydv[nu]
-        return -tot
+    def _G(self, f, s):
+        """x*'' for the x* coordinate f at parameter s."""
+        return self._accel(f, self._x_at(s), lambda c: self._y_at(c, s),
+                           lambda c: self._ydot_at(c, s))
 
     def at(self, t):
         M = self.M
@@ -788,14 +736,15 @@ class _Geodesic:
         for i in range(a):
             out[i] = self.Pf[i] + t * self.vf[i]
         for mu in range(b):
-            out[M.yi(mu)] = self._y_at(mu, t)
+            out[M.yi(mu)] = self._y_at(M.yi(mu), t)
         for k in range(a):
-            base = self.Pf[M.xsi(k)] + t * self.vf[M.xsi(k)]
+            f = M.xsi(k)
+            base = self.Pf[f] + t * self.vf[f]
             if t != 0.0:
-                val, _ = self._quad(lambda s: (t - s) * self._G(k, s), 0.0, t,
+                val, _ = self._quad(lambda s: (t - s) * self._G(f, s), 0.0, t,
                                     epsabs=1e-10, epsrel=1e-10, limit=100)
                 base += val
-            out[M.xsi(k)] = base
+            out[f] = base
         return tuple(out)
 
     def velocity(self, t):
@@ -809,14 +758,15 @@ class _Geodesic:
         for i in range(a):
             out[i] = self.vf[i]
         for mu in range(b):
-            out[M.yi(mu)] = self._ydot_at(mu, t)
+            out[M.yi(mu)] = self._ydot_at(M.yi(mu), t)
         for k in range(a):
-            base = self.vf[M.xsi(k)]
+            f = M.xsi(k)
+            base = self.vf[f]
             if t != 0.0:
-                val, _ = self._quad(lambda s: self._G(k, s), 0.0, t,
+                val, _ = self._quad(lambda s: self._G(f, s), 0.0, t,
                                     epsabs=1e-10, epsrel=1e-10, limit=100)
                 base += val
-            out[M.xsi(k)] = base
+            out[f] = base
         return tuple(out)
 
     def acceleration(self, t):
@@ -828,9 +778,9 @@ class _Geodesic:
         t = float(t)
         out = [0.0] * M.n
         for mu in range(b):
-            out[M.yi(mu)] = self._F(mu, t)
+            out[M.yi(mu)] = self._F(M.yi(mu), t)
         for k in range(a):
-            out[M.xsi(k)] = self._G(k, t)
+            out[M.xsi(k)] = self._G(M.xsi(k), t)
         return tuple(out)
 
 
@@ -862,12 +812,7 @@ def exp_inverse(M: PlaneWaveMetric, P, Q, quadrature="auto"):
     a, b = M.a, M.b
     P = tuple(P)
     Q = tuple(Q)
-    exact = all(is_exact(c) for c in P + Q) and not M.has_transcendental()
-    if quadrature == "exact-poly" and not exact:
-        raise ValueError("exact-poly quadrature needs rational data and "
-                         "polynomial warping functions")
-    if quadrature == "auto":
-        quadrature = "exact-poly" if exact else "adaptive"
+    quadrature = _resolve_quadrature(M, P + Q, quadrature)
     zero = Fraction(0) if quadrature == "exact-poly" else 0.0
     v = [zero] * M.n
     for i in range(a):

@@ -7,7 +7,6 @@ invariant, and the local-symmetry criterion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +14,8 @@ from .expr import FnExpr
 from .jets import jet_univariate
 from .linalg import solve
 from .models import M14_LABELS, CheckReport, Model0, build_m14
-from .planewave import PlaneWaveMetric, _CovREngine, metric_at, nabla_R_frame
+from .planewave import (PlaneWaveMetric, _CovREngine, metric_at, nabla_R_frame,
+                        nabla_R_support)
 from .scalars import REL_TOL, close, is_exact, iszero
 
 #: y-coordinate order: the (i,j) pair labels of the eight y's
@@ -315,23 +315,6 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
                     "part": "form", "index": (M14_LABELS[u], M14_LABELS[v]),
                     "expected": want, "got": got})
     eng = _CovREngine(M, P)
-
-    def rval(u, v, w, z):
-        total = 0
-        sup = []
-        for vec in (vecs[u], vecs[v], vecs[w], vecs[z]):
-            sup.append([i for i, c in enumerate(vec)
-                        if c != 0 and M.coord_kind(i) != "x*"])
-        for combo in itertools.product(*sup):
-            if sum(1 for i in combo if M.coord_kind(i) == "y") >= 2:
-                continue
-            coeff = vecs[u][combo[0]] * vecs[v][combo[1]] \
-                * vecs[w][combo[2]] * vecs[z][combo[3]]
-            rv = eng.value(combo)
-            if rv != 0:
-                total += coeff * rv
-        return total
-
     checked = 0
     for u in range(14):
         for v in range(u + 1, 14):
@@ -339,7 +322,8 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
                 for z in range(w + 1, 14):
                     if (w, z) < (u, v):
                         continue
-                    got = rval(u, v, w, z)
+                    got = nabla_R_frame(M, P, [vecs[u], vecs[v], vecs[w], vecs[z]],
+                                        [], engine=eng)
                     want = model.tensor.value(u, v, w, z)
                     checked += 1
                     if not close(got, want, rel=rel):
@@ -478,7 +462,7 @@ def symmetric_space_check(A: AFamily, rng=None, points: int = 20) -> CheckReport
         P = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(14)]
         sampled += 1
         eng = _CovREngine(M, P)
-        for idx in _nabla_support_indices(M, 1):
+        for idx in nabla_R_support(M, 1):
             v = eng.value(idx[:4], idx[4:])
             if not iszero(v):
                 max_comp = v
@@ -497,18 +481,3 @@ def symmetric_space_check(A: AFamily, rng=None, points: int = 20) -> CheckReport
                           "max_nabla_R_component": max_comp,
                           "nabla_R_index": worst}
     return report
-
-
-def _nabla_support_indices(M, k):
-    """All index tuples of nabla^k R that can be nonzero.  Pure-x tuples come
-    first: those carry the quadratic terms that survive differentiation, so
-    any nonzero shows up early in a lazy scan."""
-    xs = list(range(M.a))
-    ys = [M.yi(m) for m in range(M.b)]
-    total = 4 + k
-    for xtup in itertools.product(xs, repeat=total):
-        yield xtup
-    for pos in range(total):
-        for yidx in ys:
-            for xtup in itertools.product(xs, repeat=total - 1):
-                yield xtup[:pos] + (yidx,) + xtup[pos:]

@@ -19,36 +19,8 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-class MixedModeError(TypeError):
-    """Raised when rational and float scalars are mixed in one computation."""
-
-
 def is_exact(x) -> bool:
     return isinstance(x, (Fraction, int))
-
-
-def mode_of(values) -> str:
-    """Infer the scalar mode of an iterable, rejecting mixed input."""
-    saw_exact = saw_float = False
-    for v in values:
-        if isinstance(v, float):
-            saw_float = True
-        elif isinstance(v, (Fraction, int)):
-            saw_exact = True
-        else:
-            raise TypeError(f"not a scalar: {v!r}")
-    if saw_exact and saw_float:
-        raise MixedModeError("rational and float scalars mixed in one context")
-    return FLOAT if saw_float else RATIONAL
-
-
-def coerce(value, mode: str):
-    """Convert *value* to the scalar type of *mode*."""
-    if mode == RATIONAL:
-        if isinstance(value, float):
-            raise MixedModeError(f"float {value!r} not allowed in rational mode")
-        return Fraction(value)
-    return float(value)
 
 
 def close(a, b, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:

@@ -169,6 +169,14 @@ def test_geometry_verify_0_model(capsys, sym_json):
     assert check["stats"]["points_verified"] == 2
 
 
+def test_geometry_verify_0_model_at_point(capsys, ones_json):
+    rc, payload, _ = run(capsys, "geometry", "m-a", "verify-0-model",
+                         "--params", ones_json,
+                         "--point", json.dumps([1, 2, 3] + [1] * 11))
+    assert rc == 0
+    assert payload["checks"][0]["stats"]["points_verified"] == 1
+
+
 def test_geometry_curvature_point(capsys, ones_json):
     rc, payload, _ = run(capsys, "geometry", "m-a", "curvature",
                          "--params", ones_json,
@@ -235,6 +243,26 @@ def test_geometry_exp_inverse(capsys, ones_json):
                          "exp-inverse", "--params", ones_json)
     assert rc == 0
     assert payload["checks"][0]["stats"]["max_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("check-model", "{}"), '{"form": [[true]], "dim": 1, "tensor": []}'),
+    (("check-model", "{}"), '{"form": [[1]], "dim": 1, '
+                            '"tensor": [{"idx": [0, 1, 0, 1], "val": null}]}'),
+    (("geometry", "m-a", "curvature", "--params", "{}"), '{"a": {"1,1": true}}'),
+    (("geometry", "m-a", "curvature", "--params", "{}"), '{"a": {"1,1": null}}'),
+    (("geometry", "m-a", "curvature", "--params", "{}"), '{"a": {"1,1": [1]}}'),
+    (("geometry", "m-a", "curvature", "--params", "{}"), '{"a": [1]}'),
+    (("geometry", "m-phi", "curvature", "--params", "{}"), '{"phi": {"1,1": true}}'),
+    (("geometry", "m-phi", "curvature", "--params", "{}"), '{"phi": [1]}'),
+    (("geometry", "{}", "curvature"), '{"a": 1, "b": 1, "C": [[null]]}'),
+])
+def test_malformed_input_file_is_usage_error(capsys, tmp_path, argv, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    rc, _, err = run(capsys, *(a.format(path) for a in argv))
+    assert rc == 2
+    assert err.startswith("error: malformed")
 
 
 def test_geometry_missing_params(capsys):

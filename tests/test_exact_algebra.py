@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from jtcurv import scalars
 from jtcurv.expr import EvalError, FnExpr
-from jtcurv.jets import Jet, jet_eval, jet_univariate
+from jtcurv.jets import jet_eval, jet_univariate
 from jtcurv.linalg import (BilinearForm, DegenerateFormError,
                            SingularMatrixError, identity, in_span, mat_inv,
                            mat_mul, nullspace_basis, rank, row_space_basis,
@@ -37,20 +37,6 @@ def test_iszero():
     assert not scalars.iszero(Fraction(1, 10**18))
     assert scalars.iszero(1e-13)
     assert not scalars.iszero(1e-6)
-
-
-def test_mode_of_rejects_mixed():
-    assert scalars.mode_of([Fraction(1), 2]) == scalars.RATIONAL
-    assert scalars.mode_of([0.5, 1.25]) == scalars.FLOAT
-    with pytest.raises(scalars.MixedModeError):
-        scalars.mode_of([Fraction(1), 0.5])
-
-
-def test_coerce_guards_rational_mode():
-    assert scalars.coerce(3, scalars.RATIONAL) == Fraction(3)
-    with pytest.raises(scalars.MixedModeError):
-        scalars.coerce(0.5, scalars.RATIONAL)
-    assert scalars.coerce(Fraction(1, 2), scalars.FLOAT) == 0.5
 
 
 @given(fractions_st)
@@ -217,19 +203,6 @@ def test_expr_product_rule(coeffs, t):
 
 # ---------------------------------------------------------------------------
 # jets
-
-
-def test_jet_multiplication_is_leibniz():
-    # (f g)'' = f'' g + 2 f' g' + f g''
-    pt, dirs = (Fraction(0),), (1,)
-    f = Jet(pt, dirs, 2, {(0,): Fraction(2), (1,): Fraction(3),
-                          (2,): Fraction(5)})
-    g = Jet(pt, dirs, 2, {(0,): Fraction(7), (1,): Fraction(11),
-                          (2,): Fraction(13)})
-    h = f * g
-    assert h[(0,)] == 14
-    assert h[(1,)] == 3 * 7 + 2 * 11
-    assert h[(2,)] == 5 * 7 + 2 * 3 * 11 + 2 * 13
 
 
 def test_jet_eval_mixed_partials():

@@ -10,10 +10,10 @@ import pytest
 from jtcurv.expr import FnExpr
 from jtcurv.linalg import BilinearForm
 from jtcurv.planewave import (CoordTensor, PlaneWaveMetric, christoffel,
-                              contract, covariant_derivative_R, curvature_at,
+                              covariant_derivative_R, curvature_at,
                               curvature_generic, exp_inverse, geodesic,
                               geodesic_path, geodesic_residual, metric_at,
-                              nabla_R_component)
+                              nabla_R_component, nabla_R_frame)
 from jtcurv.poly import Poly
 
 from conftest import rational_point
@@ -133,14 +133,14 @@ def test_christoffel_second_kind_raises_with_inverse_metric(rng):
     M = random_metric(rng)
     P = rational_point(rng, M.n)
     ginv = metric_at(M, P).inverse().entries
-    first = christoffel(M, P, kind="first")
-    second = christoffel(M, P, kind="second")
+    first = koszul_first_kind(M, P)
+    second = christoffel(M, P)
     n = M.n
     for u in range(n):
         for v in range(n):
             for f in range(n):
-                want = sum(ginv[f][w] * first.value(u, v, w) for w in range(n)
-                           if first.value(u, v, w) != 0)
+                want = sum(ginv[f][w] * first[(u, v, w)] for w in range(n)
+                           if (u, v, w) in first)
                 assert second.value(u, v, f) == want, (u, v, f)
 
 
@@ -175,9 +175,12 @@ def test_contract_agrees_with_components(rng):
     P = rational_point(rng, M.n)
     T = curvature_at(M, P)
     e = [tuple(Fraction(int(i == t)) for t in range(M.n)) for i in range(M.n)]
-    some = list(T.comps.items())[:10]
-    for idx, v in some:
-        assert contract(T, [e[i] for i in idx]) == v
+    for idx, v in list(T.comps.items())[:10]:
+        assert nabla_R_frame(M, P, [e[i] for i in idx], []) == v
+    vecs = [rational_point(rng, M.n) for _ in range(4)]
+    want = sum(v * vecs[0][i] * vecs[1][j] * vecs[2][k] * vecs[3][l]
+               for (i, j, k, l), v in T.comps.items())
+    assert nabla_R_frame(M, P, vecs, []) == want
 
 
 # ---------------------------------------------------------------------------

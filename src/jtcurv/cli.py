@@ -76,8 +76,8 @@ def _random_point(rng, n, mode):
 
 def _point_from_arg(text, n, mode):
     vals = json.loads(text)
-    if len(vals) != n:
-        raise UsageError(f"expected {n} coordinates, got {len(vals)}")
+    if not isinstance(vals, list) or len(vals) != n:
+        raise UsageError(f"expected a JSON list of {n} coordinates, got {text}")
     return tuple(_parse_scalar(str(v), mode) for v in vals)
 
 
@@ -239,6 +239,8 @@ def cmd_geometry(args):
             if var.strip() != "x1":
                 raise UsageError("xi sweeps run over x1 only")
             start, stop, step = (float(s) for s in spec.split(":"))
+            if not step > 0:
+                raise UsageError(f"sweep step must be positive, got {step}")
             import csv
             stream = _open_out(args)
             w = csv.writer(stream)
@@ -325,6 +327,13 @@ def cmd_geometry(args):
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="jtcurv",
                                 description="verify Jacobi-Tsankov curvature "
@@ -332,7 +341,7 @@ def build_parser():
     p.add_argument("--mode", choices=["rational", "float"], default="rational")
     p.add_argument("--tol", type=float, default=REL_TOL)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -376,9 +385,6 @@ def main(argv=None):
             rc = cmd_symmetry(args)
         else:
             rc = cmd_geometry(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, KeyError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

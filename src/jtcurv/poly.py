@@ -164,10 +164,6 @@ class Poly:
         """Antiderivative with zero constant term."""
         return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
-    def definite(self, a, b):
-        F = self.integrate()
-        return F.eval(b) - F.eval(a)
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"

@@ -265,6 +265,39 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, argv, content):
     assert err.startswith("error: malformed")
 
 
+@pytest.mark.parametrize("value", ["5", "null", "true", "1.5"])
+@pytest.mark.parametrize("sub, flag", [("curvature", "--point"),
+                                       ("geodesic", "--velocity"),
+                                       ("exp-inverse", "--target")])
+def test_coordinates_not_a_list_is_usage_error(capsys, ones_json, sub, flag,
+                                               value):
+    rc, _, err = run(capsys, "geometry", "m-a", sub, "--params", ones_json,
+                     flag, value)
+    assert rc == 2
+    assert err.startswith("error: expected a JSON list")
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_below_one_is_usage_error(capsys, ones_json, points):
+    rc, payload, err = run(capsys, "--points", points, "geometry", "m-a",
+                           "verify-0-model", "--params", ones_json)
+    assert rc == 2
+    assert payload is None and "--points" in err
+
+
+@pytest.mark.parametrize("spec", ["x1=0:1:0", "x1=0:1:-0.5"])
+def test_xi_sweep_step_must_be_positive(capsys, exp_json, tmp_path,
+                                        monkeypatch, spec):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the sweep evaluated Xi")
+
+    monkeypatch.setattr("jtcurv.realizations.xi_invariant", no_evaluation)
+    rc, _, err = run(capsys, "--out", str(tmp_path / "xi.csv"), "geometry",
+                     "m-phi", "xi", "--params", exp_json, "--sweep", spec)
+    assert rc == 2
+    assert err.startswith("error: sweep step must be positive")
+
+
 def test_geometry_missing_params(capsys):
     rc, _, err = run(capsys, "geometry", "m-a", "symmetric")
     assert rc == 2

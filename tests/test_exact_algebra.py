@@ -255,13 +255,6 @@ def test_poly_integrate_then_derive(p):
     assert p.integrate().deriv() == p
 
 
-@given(poly_st, fractions_st, fractions_st)
-@settings(max_examples=60, deadline=None)
-def test_poly_definite_additivity(p, a, b):
-    mid = (a + b) / 2
-    assert p.definite(a, mid) + p.definite(mid, b) == p.definite(a, b)
-
-
 def test_poly_arithmetic_with_fractions():
     t = Poly.t()
     p = (1 - t) * (1 + t)

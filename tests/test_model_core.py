@@ -2,17 +2,19 @@
 tables, curvature-commutation properties and their witnesses."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtcurv import (CurvatureTensor, Model0, build_m14, check_property,
-                    invariant_spans, jacobi, jacobi_polarized, skew,
-                    validate_curvature_symmetries)
+from jtcurv import (CurvatureTensor, Model0, Operator, build_m14,
+                    check_property, invariant_spans, jacobi, jacobi_polarized,
+                    skew, validate_curvature_symmetries)
 from jtcurv.linalg import BilinearForm, in_span
-from jtcurv.models import M14_LABELS, canonicalize_riemann, riemann_orbit
+from jtcurv.models import (M14_LABELS, PROPERTY_KINDS, canonicalize_riemann,
+                           riemann_orbit)
 
 HALF = Fraction(1, 2)
 
@@ -292,3 +294,103 @@ def test_product_model_is_valid_curvature(rng):
             for i in range(n)]
     m = product_model(S, form)
     assert validate_curvature_symmetries(m.tensor).holds
+
+
+# ---------------------------------------------------------------------------
+# reference: the full scan over every original pair or monomial, no span
+
+
+def _nonzero_or_last(*ops):
+    return next((op for op in ops if not op.is_zero()), ops[-1])
+
+
+def full_scan(m, kind):
+    """(holds, witness, stats) of check_property, by evaluating the relation
+    on every pair of polarized basis operators (every quartic monomial for
+    jacobi-square-zero) in scan order and stopping at the first failure."""
+    n = m.n
+    e = [m.basis_vector(i) for i in range(n)]
+    jp = [(i, j) for i in range(n) for j in range(i, n)]
+    sp = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    J = {p: jacobi_polarized(m, e[p[0]], e[p[1]]) for p in jp}
+    A = {p: skew(m, e[p[0]], e[p[1]]) for p in sp}
+
+    def witness(wkind, left, right, op):
+        col = next(c for c in range(n) if any(row[c] for row in op.matrix))
+        return {"kind": wkind, "left_pair": [m.label(i) for i in left],
+                "right_pair": [m.label(i) for i in right],
+                "vector": m.label(col),
+                "residual": [row[col] for row in op.matrix]}
+
+    if kind == "jacobi-square-zero":
+        quads = list(itertools.combinations_with_replacement(range(n), 4))
+        for count, quad in enumerate(quads, 1):
+            total = Operator([[Fraction(0)] * n for _ in range(n)])
+            for perm in set(itertools.permutations(quad)):
+                p, q = tuple(sorted(perm[:2])), tuple(sorted(perm[2:]))
+                total = total + J[p] @ J[q]
+            if not total.is_zero():
+                w = witness("square-coefficient", quad[:2], quad[2:], total)
+                return False, w, {"monomials_checked": count}
+        return True, None, {"monomials_checked": len(quads)}
+
+    if kind == "jacobi-tsankov":
+        cases = ((p, q, "commutator", J[p].commutator(J[q]))
+                 for a, p in enumerate(jp) for q in jp[a + 1:])
+    elif kind == "2-step-jacobi-nilpotent":
+        cases = ((p, q, "product", J[p] @ J[q]) for p in jp for q in jp)
+    elif kind == "skew-tsankov":
+        cases = ((p, q, kind, A[p].commutator(A[q]))
+                 for a, p in enumerate(sp) for q in sp[a + 1:])
+    elif kind == "2-step-skew-nilpotent":
+        cases = ((p, q, kind, A[p] @ A[q]) for p in sp for q in sp)
+    elif kind == "mixed-tsankov":
+        cases = ((p, q, kind, A[p].commutator(J[q])) for p in sp for q in jp)
+    else:
+        assert kind == "mixed-nilpotent-tsankov"
+        cases = ((p, q, kind, _nonzero_or_last(A[p] @ J[q], J[q] @ A[p]))
+                 for p in sp for q in jp)
+    count = 0
+    for left, right, wkind, res in cases:
+        count += 1
+        if not res.is_zero():
+            w = witness(wkind, left, right, res)
+            return False, w, {"pairs_checked": count}
+    stats = {"pairs_checked": count}
+    if kind == "jacobi-tsankov":
+        stats["polarized_operators"] = len(jp)
+    return True, None, stats
+
+
+def _report(m, kind):
+    rep = check_property(m, kind)
+    return rep.holds, rep.witness, rep.stats
+
+
+@pytest.mark.parametrize("kind", ["2-step-jacobi-nilpotent", "skew-tsankov",
+                                  "2-step-skew-nilpotent",
+                                  "mixed-nilpotent-tsankov"])
+def test_m14_failing_kinds_match_full_scan(m14, kind):
+    assert _report(m14, kind) == full_scan(m14, kind)
+
+
+def test_product_models_match_full_scan():
+    outcomes = {kind: set() for kind in PROPERTY_KINDS}
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        density = 0.4 if seed % 2 else 0.2  # sparser S: some properties hold
+        S = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < density:
+                    S[i][j] = S[j][i] = Fraction(rng.randint(-2, 2))
+        form = [[Fraction(int(i == j)) * (1 if i < n // 2 + 1 else -1)
+                 for j in range(n)] for i in range(n)]
+        m = product_model(S, form)
+        for kind in PROPERTY_KINDS:
+            got = _report(m, kind)
+            assert got == full_scan(m, kind), (seed, kind)
+            outcomes[kind].add(got[0])
+    # every kind both holds and fails somewhere, so neither branch is vacuous
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes

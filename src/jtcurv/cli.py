@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -239,6 +240,8 @@ def cmd_geometry(args):
             if var.strip() != "x1":
                 raise UsageError("xi sweeps run over x1 only")
             start, stop, step = (float(s) for s in spec.split(":"))
+            if not all(math.isfinite(v) for v in (start, stop, step)):
+                raise UsageError(f"sweep bounds must be finite, got {spec}")
             if not step > 0:
                 raise UsageError(f"sweep step must be positive, got {step}")
             import csv

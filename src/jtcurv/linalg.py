@@ -63,16 +63,24 @@ def _pivot_ok(x):
     return (x != 0) if is_exact(x) else abs(x) > 1e-12
 
 
+def _pivot_row(M, col, start):
+    """Pivot row for column col among rows start..: the first nonzero entry
+    when the column is exact; once it holds a float, the entry largest in
+    absolute value (partial pivoting), which bounds the growth of rounding
+    errors."""
+    rows = range(start, len(M))
+    if any(isinstance(M[r][col], float) for r in rows):
+        piv = max(rows, key=lambda r: abs(M[r][col]))
+        return piv if _pivot_ok(M[piv][col]) else None
+    return next((r for r in rows if M[r][col] != 0), None)
+
+
 def mat_inv(A):
     """Gauss-Jordan inverse; exact for Fraction entries."""
     n = len(A)
     M = [list(row) + list(identity(n)[i]) for i, row in enumerate(A)]
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if _pivot_ok(M[r][col]):
-                piv = r
-                break
+        piv = _pivot_row(M, col, col)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         M[col], M[piv] = M[piv], M[col]
@@ -94,11 +102,7 @@ def rref(A):
     pivots = []
     r = 0
     for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if _pivot_ok(M[rr][c]):
-                piv = rr
-                break
+        piv = _pivot_row(M, c, r)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]

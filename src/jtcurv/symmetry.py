@@ -118,21 +118,27 @@ def pullback_form(m: Model0, T):
     return mat_mul(transpose(T), mat_mul(m.form.entries, T))
 
 
-def pullback_tensor(m: Model0, T):
-    """Full component dict of T^* A, contracted one slot at a time."""
-    cur = dict(m.full_entries)
+def pullback(comps, T):
+    """Nonzero components of the 4-tensor comps pulled back through T, where
+    T[old][new] is the coefficient of old index `old` in new index `new`:
+    sum over old indices of comps[old] * prod_s T[old_s][new_s], contracted
+    one slot at a time.  comps maps index 4-tuples to values."""
+    rows = [[(i, t) for i, t in enumerate(row) if t != 0] for row in T]
+    cur = comps
     for slot in range(4):
         nxt = {}
         for idx, v in cur.items():
-            p = idx[slot]
-            for i in range(m.n):
-                t = T[p][i]
-                if t == 0:
-                    continue
-                nidx = idx[:slot] + (i,) + idx[slot + 1:]
+            head, tail = idx[:slot], idx[slot + 1:]
+            for i, t in rows[idx[slot]]:
+                nidx = head + (i,) + tail
                 nxt[nidx] = nxt.get(nidx, 0) + v * t
         cur = {k: v for k, v in nxt.items() if v != 0}
     return cur
+
+
+def pullback_tensor(m: Model0, T):
+    """Full component dict of T^* A."""
+    return pullback(dict(m.full_entries), T)
 
 
 def is_symmetry(m: Model0, T, rel: float = REL_TOL) -> CheckReport:

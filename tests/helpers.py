@@ -3,8 +3,11 @@ plane-wave family, shared between the unit suite and the acceptance suite."""
 
 from fractions import Fraction
 
-from jtcurv.models import riemann_orbit
+from jtcurv import realizations
+from jtcurv.models import M14_LABELS, CheckReport, riemann_orbit
+from jtcurv.planewave import _CovREngine, metric_at, nabla_R_frame
 from jtcurv.realizations import Y_PAIRS
+from jtcurv.scalars import REL_TOL, close
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -94,3 +97,41 @@ def nabla_r_expected_full(A, P):
         for tup, s in riemann_orbit(idx4):
             out[tup + (e,)] = s * val
     return out
+
+
+def verify_0_model_reference(M, P, rel=REL_TOL):
+    """verify_0_model as a plain scan: every canonical component of the
+    model, in index order, contracted on the frame vectors one at a time."""
+    model = realizations.build_m14()
+    try:
+        frame = realizations.normalize_basis_0(M, P)
+    except (ValueError, ZeroDivisionError) as err:
+        return CheckReport("0-model", False, witness={"error": str(err)})
+    g = metric_at(M, P)
+    vecs = frame.ordered()
+    for u in range(14):
+        for v in range(u, 14):
+            got = g.apply(vecs[u], vecs[v])
+            want = model.form.entries[u][v]
+            if not close(got, want, rel=rel):
+                return CheckReport("0-model", False, witness={
+                    "part": "form", "index": (M14_LABELS[u], M14_LABELS[v]),
+                    "expected": want, "got": got})
+    eng = _CovREngine(M, P)
+    checked = 0
+    for u in range(14):
+        for v in range(u + 1, 14):
+            for w in range(u, 14):
+                for z in range(w + 1, 14):
+                    if (w, z) < (u, v):
+                        continue
+                    got = nabla_R_frame(M, P, [vecs[u], vecs[v], vecs[w], vecs[z]],
+                                        [], engine=eng)
+                    want = model.tensor.value(u, v, w, z)
+                    checked += 1
+                    if not close(got, want, rel=rel):
+                        return CheckReport("0-model", False, witness={
+                            "part": "tensor",
+                            "index": tuple(M14_LABELS[i] for i in (u, v, w, z)),
+                            "expected": want, "got": got})
+    return CheckReport("0-model", True, stats={"components_checked": checked})

@@ -7,7 +7,7 @@ import importlib.util
 import pathlib
 import types
 
-from jtcurv import models, planewave
+from jtcurv import models, planewave, realizations
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = ("models", "linalg", "symmetry", "planewave", "realizations", "expr",
@@ -52,3 +52,19 @@ def test_traced_scans_reach_the_operator_layer(m14):
             assert tracer.stat("models.Operator.matmul").calls > before, kind
     finally:
         tracer.uninstall()
+
+
+def test_traced_verify_0_model_keeps_span_and_tally(ones_metric):
+    """verify_0_model stays a traced span whose reports feed the
+    components_checked tally; the names the tracer patches in realizations
+    (nabla_R_frame, solve) stay importable there."""
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(modules())
+        P = (1, 2, -1) + (0,) * 5 + (1,) + (0,) * 5
+        rep = realizations.verify_0_model(ones_metric, P)
+    finally:
+        tracer.uninstall()
+    assert rep.holds, rep.witness
+    assert tracer.stat("realizations.verify_0_model").calls == 1
+    assert tracer.tallies["components_checked"] == 4186

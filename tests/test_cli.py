@@ -298,6 +298,20 @@ def test_xi_sweep_step_must_be_positive(capsys, exp_json, tmp_path,
     assert err.startswith("error: sweep step must be positive")
 
 
+@pytest.mark.parametrize("spec", ["x1=0:inf:1", "x1=-inf:0:1", "x1=nan:1:0.5",
+                                  "x1=0:nan:0.5", "x1=0:1:inf", "x1=0:1:nan"])
+def test_xi_sweep_bounds_must_be_finite(capsys, exp_json, tmp_path,
+                                        monkeypatch, spec):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the sweep evaluated Xi")
+
+    monkeypatch.setattr("jtcurv.realizations.xi_invariant", no_evaluation)
+    rc, _, err = run(capsys, "--out", str(tmp_path / "xi.csv"), "geometry",
+                     "m-phi", "xi", "--params", exp_json, "--sweep", spec)
+    assert rc == 2
+    assert err.startswith("error: sweep bounds must be finite")
+
+
 def test_geometry_missing_params(capsys):
     rc, _, err = run(capsys, "geometry", "m-a", "symmetric")
     assert rc == 2

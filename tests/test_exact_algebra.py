@@ -96,6 +96,22 @@ def test_solve_consistency():
               [Fraction(0), Fraction(1)])
 
 
+def test_float_elimination_pivots_on_the_largest_entry():
+    """A tiny leading entry above the pivot threshold must not be the pivot:
+    the float solve and inverse stay within 1e-14 of the exact ones."""
+    A = [[2e-12, 1.3], [0.7, 1.1]]
+    b = [0.9, 1.7]
+    exact = [[Fraction(x) for x in row] for row in A]
+
+    def near(x, want):
+        return abs(Fraction(x) - want) <= Fraction(1e-14) * abs(want)
+
+    x, want = solve(A, b), solve(exact, [Fraction(v) for v in b])
+    assert all(near(u, v) for u, v in zip(x, want))
+    inv, want = mat_inv(A), mat_inv(exact)
+    assert all(near(u, v) for r, s in zip(inv, want) for u, v in zip(r, s))
+
+
 def test_span_helpers():
     basis = row_space_basis([(Fraction(1), Fraction(0), Fraction(1)),
                              (Fraction(0), Fraction(1), Fraction(1)),

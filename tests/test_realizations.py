@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from jtcurv import realizations
 from jtcurv.expr import FnExpr
 from jtcurv.planewave import (christoffel, covariant_derivative_R,
                               curvature_at, geodesic, metric_at,
@@ -20,7 +21,8 @@ from jtcurv.realizations import (AFamily, PhiFamily, build_M_A, build_M_Phi,
 
 from conftest import SYMMETRIC_A, random_afamily, rational_point
 from helpers import (YIDX, curvature_unit_fixtures, curvature_xxxx_fixtures,
-                     nabla_r_expected_full, nabla_r_fixtures)
+                     nabla_r_expected_full, nabla_r_fixtures,
+                     verify_0_model_reference)
 
 
 def linear_phi_family():
@@ -207,6 +209,71 @@ def test_verify_0_model_m_phi_exponential(rng):
     M = build_M_Phi(exp_phi_family())
     P = tuple(rng.uniform(-1.0, 1.0) for _ in range(14))
     assert verify_0_model(M, P, rel=1e-10).holds
+
+
+def assert_same_report(rep, ref, tol=0):
+    """Equal verdicts, stats and witnesses; a float witness value may differ
+    by tol, since the two paths sum in different orders."""
+    assert (rep.holds, rep.stats) == (ref.holds, ref.stats)
+    got, want = dict(rep.witness or {}), dict(ref.witness or {})
+    g, w = got.pop("got", 0), want.pop("got", 0)
+    assert got == want
+    assert g == w if tol == 0 else abs(g - w) <= tol
+
+
+def test_verify_0_model_matches_reference_exact(rng):
+    for _ in range(3):
+        M = build_M_A(random_afamily(rng))
+        for _ in range(2):
+            P = rational_point(rng)
+            rep = verify_0_model(M, P)
+            assert rep.holds and rep.stats == {"components_checked": 4186}
+            assert_same_report(rep, verify_0_model_reference(M, P))
+
+
+def test_verify_0_model_matches_reference_float(rng):
+    M = build_M_Phi(exp_phi_family())
+    for _ in range(3):
+        P = tuple(rng.uniform(-0.5, 0.5) for _ in range(14))
+        assert_same_report(verify_0_model(M, P, rel=1e-10),
+                           verify_0_model_reference(M, P, rel=1e-10), 1e-12)
+
+
+@pytest.mark.parametrize("P", [
+    # large y coordinates: rounding errors beyond the absolute floor of
+    # close(), in the inner products and in the curvature respectively
+    (0.14, -0.35, 0.13, 0.37, 0.02, 0.24,
+     343.0, -872.0, 516.0, 182.0, -397.0, -938.0, 731.0, -55.0),
+    (0.27, -0.47, 0.07, 0.24, -0.19, -0.28, 60762.0, -52261.0, -62521.0,
+     -12953.0, 39613.0, -79632.0, -35607.0, -33249.0),
+    # phi'_{1,1} = e^{x_1} is below the zero threshold: degenerate point
+    (-30.0,) + (0.0,) * 13,
+])
+def test_verify_0_model_matches_reference_failing_float(P):
+    M = build_M_Phi(exp_phi_family())
+    rep = verify_0_model(M, P, rel=1e-17)
+    assert not rep.holds
+    assert_same_report(rep, verify_0_model_reference(M, P, rel=1e-17), 1e-12)
+
+
+@pytest.mark.parametrize("canon", [(0, 1, 1, 7), (0, 1, 0, 1), (6, 7, 8, 9)])
+def test_verify_0_model_matches_reference_altered_model(rng, monkeypatch, canon):
+    """A model with one changed component fails at the same first index."""
+    build = realizations.build_m14
+
+    def altered():
+        m = build()
+        m.tensor.data[canon] = m.tensor.data.get(canon, 0) + Fraction(1, 3)
+        return m
+
+    monkeypatch.setattr(realizations, "build_m14", altered)
+    cases = [(build_M_A(random_afamily(rng)), rational_point(rng), 0),
+             (build_M_Phi(exp_phi_family()),
+              tuple(rng.uniform(-0.5, 0.5) for _ in range(14)), 1e-12)]
+    for M, P, tol in cases:
+        rep = verify_0_model(M, P)
+        assert not rep.holds and rep.witness["part"] == "tensor"
+        assert_same_report(rep, verify_0_model_reference(M, P), tol)
 
 
 def test_frame_is_deterministic(rng):

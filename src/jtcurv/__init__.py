@@ -40,6 +40,7 @@ from .planewave import (
     curvature_generic,
     exp_inverse,
     geodesic,
+    geodesic_fit,
     geodesic_path,
     geodesic_residual,
     metric_at,

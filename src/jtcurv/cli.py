@@ -300,13 +300,13 @@ def cmd_geometry(args):
         if quad == "adaptive":
             P = tuple(float(c) for c in P)
             v = tuple(float(c) for c in v)
-        planewave.geodesic_trace_csv(M, P, v, ts, stream, quadrature=quad)
+        geo = planewave.geodesic_trace_csv(M, P, v, ts, stream, quadrature=quad)
         if args.out:
             stream.close()
-        res = planewave.geodesic_residual(M, P, v, ts[len(ts) // 2], quadrature=quad)
+        res = geo.residual(ts[len(ts) // 2])
         ok = float(abs(res)) < max(args.tol, 1e-9)
-        checks.append(models.CheckReport("geodesic-residual", ok,
-                                         stats={"residual": float(res)}))
+        checks.append(_geodesic_check("geodesic-residual", ok, geo,
+                                      {"residual": float(res)}))
     elif sub == "exp-inverse":
         mode = args.mode if not M.has_transcendental() else "float"
         P = _point_from_arg(args.point, M.n, mode) if args.point \
@@ -315,16 +315,28 @@ def cmd_geometry(args):
             else _random_point(rng, M.n, mode)
         quad = "adaptive" if mode == "float" else "exact-poly"
         v = planewave.exp_inverse(M, P, Q, quadrature=quad)
-        reached = planewave.geodesic(M, P, v, Fraction(1) if quad == "exact-poly"
-                                     else 1.0, quadrature=quad)
+        one = Fraction(1) if quad == "exact-poly" else 1.0
+        geo = planewave.geodesic_fit(M, P, v, (one,), quadrature=quad)
+        reached = geo.at(one)
         res = max(abs(float(r) - float(q)) for r, q in zip(reached, Q))
         obj["velocity"] = [scalar_to_json(c) for c in v]
         ok = res < max(args.tol, 1e-9)
-        checks.append(models.CheckReport("exp-inverse-roundtrip", ok,
-                                         stats={"max_residual": res}))
+        checks.append(_geodesic_check("exp-inverse-roundtrip", ok, geo,
+                                      {"max_residual": res}))
     else:
         raise UsageError(f"unknown geometry subcommand {sub!r}")
     return _emit(obj, checks)
+
+
+def _geodesic_check(name, ok, geo, stats):
+    """A geodesic check; in float mode its stats carry the Chebyshev degree
+    and relative tail, and a fit that stopped at the degree cap fails."""
+    stats.update(geo.fit)
+    witness = None
+    if not geo.converged:
+        witness = {"unconverged_fit": dict(geo.fit)}
+    return models.CheckReport(name, ok and geo.converged, witness=witness,
+                              stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +400,7 @@ def main(argv=None):
             rc = cmd_symmetry(args)
         else:
             rc = cmd_geometry(args)
-    except (OSError, ValueError, KeyError, ZeroDivisionError) as err:
+    except (OSError, ValueError, KeyError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(f"done in {time.monotonic() - start:.2f}s", file=sys.stderr)

@@ -5,10 +5,12 @@ Coordinates are ordered (x_1..x_a, x_1*..x_a*, y_1..y_b); the metric is
     g(dx_i, dx_i*)  = 1,
     g(dy_mu, dy_nu) = C_{mu nu},
 with the warping functions psi depending on the x block only.  That support
-structure gives the Christoffel cascade x -> y -> x*: geodesics integrate by
-iterated quadrature and every curvature component with an x* index or more
-than one y index vanishes, which is what keeps the iterated covariant
-derivatives of R tractable.
+structure gives the Christoffel cascade x -> y -> x*: x is affine along a
+geodesic, y'' depends on x only and x*'' on x, y and y', so geodesics are two
+successive double integrals (Poly antiderivatives on rational data and
+polynomial psi, Chebyshev series otherwise), and every curvature component
+with an x* index or more than one y index vanishes, which is what keeps the
+iterated covariant derivatives of R tractable.
 
 The Christoffel symbols of the second kind are held once per metric, in the
 lazily built table ``PlaneWaveMetric.gamma``: gamma[(u, v)][f] lists terms
@@ -28,6 +30,8 @@ so curvature_generic is an independent check of the table.
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
 from fractions import Fraction
 
 from .expr import FnExpr
@@ -629,13 +633,33 @@ def _resolve_quadrature(M, values, quadrature):
     return quadrature
 
 
+#: Chebyshev fits of the float geodesic: the first degree tried, the degree
+#: cap, how many trailing coefficients make the tail, and the tail (relative
+#: to the largest coefficient) at which the doubling stops.
+_CHEB_START = 16
+_CHEB_CAP = 1024
+_CHEB_TAIL = 3
+_CHEB_TOL = 1e-15
+
+
 class _Geodesic:
     """Cascade-integrated geodesic through P with initial velocity v.
 
     x is affine in t; y'' and then x*'' are the Christoffel table contracted
-    once with the x velocities, which stay constant.  The cascade evaluates
-    those terms at Poly arguments and integrates with Poly.integrate
-    ("exact-poly"), or at floats under adaptive scipy quadrature.
+    once with the x velocities, which stay constant.  "exact-poly" evaluates
+    those terms at Poly arguments and integrates with Poly.integrate.
+
+    "adaptive" (floats) builds Chebyshev series on one interval [lo, hi]
+    holding 0 and every parameter asked for so far.  y'' (_F) is sampled at
+    the Chebyshev-Lobatto nodes of the interval, and its series is integrated
+    twice from 0, giving y' and y as series.  x*'' (_G) is then sampled at the
+    same nodes, reading y and y' from those series, and integrated the same
+    way.  Each stage doubles its degree from _CHEB_START, reusing the samples
+    it has, until the largest of its last _CHEB_TAIL coefficients is at most
+    _CHEB_TOL times its largest coefficient, or until _CHEB_CAP.  ``fit``
+    holds the degree and that relative tail (the larger of the two stages);
+    a fit that stops at the cap is not ``converged`` and warns.  A parameter
+    outside the interval rebuilds both stages on the widened hull.
     """
 
     def __init__(self, M: PlaneWaveMetric, P, v, quadrature="auto"):
@@ -643,15 +667,15 @@ class _Geodesic:
         self.P = tuple(P)
         self.v = tuple(v)
         self.quadrature = _resolve_quadrature(M, self.P + self.v, quadrature)
+        self.fit = {}
         if self.quadrature == "exact-poly":
             self._contract(self.v)
             self._build_exact()
         else:
-            from scipy.integrate import quad
-            self._quad = quad
             self.Pf = tuple(float(c) for c in self.P)
             self.vf = tuple(float(c) for c in self.v)
             self._contract(self.vf)
+            self.span = None
 
     def _contract(self, v):
         """Contract the table with v once: terms[f][(y, ydot)] lists (c, expr)
@@ -696,7 +720,7 @@ class _Geodesic:
             polys[f] += acc.integrate().integrate()
         self.polys = polys
 
-    # ---- adaptive float mode ----
+    # ---- float mode: Chebyshev series on one interval ----
     def _x_at(self, t):
         a = self.M.a
         return tuple(self.Pf[i] + t * self.vf[i] for i in range(a))
@@ -705,69 +729,128 @@ class _Geodesic:
         """y'' for the y coordinate f at parameter s."""
         return self._accel(f, self._x_at(s))
 
-    def _y_at(self, f, t):
-        base = self.Pf[f] + t * self.vf[f]
-        if t == 0.0:
-            return base
-        val, _ = self._quad(lambda s: (t - s) * self._F(f, s), 0.0, t,
-                            epsabs=1e-12, epsrel=1e-12, limit=200)
-        return base + val
+    def _G(self, f, s, pos, vel):
+        """x*'' for the x* coordinate f at parameter s; pos(c) and vel(c) give
+        y_c and y_c' there."""
+        return self._accel(f, self._x_at(s), pos, vel)
 
-    def _ydot_at(self, f, t):
-        base = self.vf[f]
-        if t == 0.0:
-            return base
-        val, _ = self._quad(lambda s: self._F(f, s), 0.0, t,
-                            epsabs=1e-12, epsrel=1e-12, limit=200)
-        return base + val
+    @property
+    def converged(self):
+        """False once a float fit has stopped at _CHEB_CAP above _CHEB_TOL."""
+        return self.fit.get("cheb_tail", 0.0) <= _CHEB_TOL
 
-    def _G(self, f, s):
-        """x*'' for the x* coordinate f at parameter s."""
-        return self._accel(f, self._x_at(s), lambda c: self._y_at(c, s),
-                           lambda c: self._ydot_at(c, s))
+    def _cover(self, ts):
+        """Make the float series cover 0, every t in ts and the interval they
+        already cover, rebuilding them on the hull if a t falls outside."""
+        if self.quadrature == "exact-poly":
+            return
+        ts = [float(t) for t in ts]
+        if not all(math.isfinite(t) for t in ts):
+            raise ValueError(f"geodesic parameters must be finite, got {ts}")
+        lo, hi = min(ts + [0.0]), max(ts + [0.0])
+        if self.span is not None:
+            if self.span[0] <= lo and hi <= self.span[1]:
+                return
+            lo, hi = min(lo, self.span[0]), max(hi, self.span[1])
+        if lo == hi:
+            hi = lo + 1.0
+        self._build_float(lo, hi)
+
+    def _build_float(self, lo, hi):
+        M = self.M
+        self.span = (lo, hi)
+        ys = [M.yi(mu) for mu in range(M.b)]
+        xs = [M.xsi(k) for k in range(M.a)]
+        self._ypos, self._yvel, ydeg, ytail = self._stage(
+            lambda s: [self._F(f, s) for f in ys], ys)
+
+        def g_row(s):
+            pos, vel = self._y_state(s)
+            return [self._G(f, s, pos, vel) for f in xs]
+
+        self._xpos, self._xvel, xdeg, xtail = self._stage(g_row, xs)
+        self.fit = {"cheb_degree": max(ydeg, xdeg), "cheb_tail": max(ytail, xtail)}
+        if not self.converged:
+            warnings.warn(f"geodesic Chebyshev fit on [{lo}, {hi}] stopped at "
+                          f"degree {_CHEB_CAP} with relative tail "
+                          f"{self.fit['cheb_tail']:.3g}", RuntimeWarning)
+
+    def _stage(self, sample, coords):
+        """Fit the accelerations sample(s) of coords (one row per node) on
+        self.span and integrate twice from 0.  Returns the coefficient arrays
+        of the positions and velocities (one column per coordinate), the
+        degree and the relative tail."""
+        # numpy loads with the first float geodesic, not with the package
+        import numpy as np
+        from numpy.polynomial import chebyshev as C
+        lo, hi = self.span
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+
+        def rows(n, js):
+            out = [sample(mid + half * math.cos(math.pi * j / n)) for j in js]
+            return np.array(out, dtype=float).reshape(len(js), len(coords))
+
+        n = _CHEB_START
+        vals = rows(n, range(n + 1))
+        while True:
+            # Chebyshev coefficients of the interpolant at the Lobatto nodes
+            # cos(pi j / n): a discrete cosine transform of the first kind
+            j = np.arange(n + 1)
+            dct = np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n)
+            w = np.ones(n + 1)
+            w[[0, n]] = 0.5
+            coef = (2.0 / n) * (dct @ (w[:, None] * vals))
+            coef[[0, n]] *= 0.5
+            scale = np.abs(coef).max(initial=0.0)
+            tail = np.abs(coef[-_CHEB_TAIL:]).max(initial=0.0)
+            rel = float(tail / scale) if scale else 0.0
+            if rel <= _CHEB_TOL or n >= _CHEB_CAP:
+                break
+            n *= 2
+            grown = np.empty((n + 1, vals.shape[1]))
+            grown[0::2] = vals
+            grown[1::2] = rows(n, range(1, n, 2))
+            vals = grown
+        u0 = -mid / half
+        vel = C.chebint(coef, lbnd=u0, scl=half)
+        vel[0] += [self.vf[c] for c in coords]
+        pos = C.chebint(vel, lbnd=u0, scl=half)
+        pos[0] += [self.Pf[c] for c in coords]
+        return pos, vel, n, rel
+
+    def _series_at(self, t, *series):
+        from numpy.polynomial.chebyshev import chebval
+        lo, hi = self.span
+        u = (2 * t - lo - hi) / (hi - lo)
+        return [chebval(u, c).tolist() for c in series]
+
+    def _y_state(self, s):
+        """Lookups pos(c), vel(c) of y_c and y_c' at s, from the y series."""
+        ypos, yvel = self._series_at(s, self._ypos, self._yvel)
+        base = 2 * self.M.a
+        return (dict(enumerate(ypos, base)).__getitem__,
+                dict(enumerate(yvel, base)).__getitem__)
 
     def at(self, t):
-        M = self.M
-        a, b = M.a, M.b
         if self.quadrature == "exact-poly":
             return tuple(p.eval(t if is_exact(t) else float(t)) for p in self.polys)
         t = float(t)
-        out = [0.0] * M.n
-        for i in range(a):
-            out[i] = self.Pf[i] + t * self.vf[i]
-        for mu in range(b):
-            out[M.yi(mu)] = self._y_at(M.yi(mu), t)
-        for k in range(a):
-            f = M.xsi(k)
-            base = self.Pf[f] + t * self.vf[f]
-            if t != 0.0:
-                val, _ = self._quad(lambda s: (t - s) * self._G(f, s), 0.0, t,
-                                    epsabs=1e-10, epsrel=1e-10, limit=100)
-                base += val
-            out[f] = base
-        return tuple(out)
+        if t == 0.0:
+            return self.Pf
+        self._cover((t,))
+        xs, ys = self._series_at(t, self._xpos, self._ypos)
+        return self._x_at(t) + tuple(xs) + tuple(ys)
 
     def velocity(self, t):
-        M = self.M
-        a, b = M.a, M.b
         if self.quadrature == "exact-poly":
             return tuple(p.deriv().eval(t if is_exact(t) else float(t))
                          for p in self.polys)
         t = float(t)
-        out = [0.0] * M.n
-        for i in range(a):
-            out[i] = self.vf[i]
-        for mu in range(b):
-            out[M.yi(mu)] = self._ydot_at(M.yi(mu), t)
-        for k in range(a):
-            f = M.xsi(k)
-            base = self.vf[f]
-            if t != 0.0:
-                val, _ = self._quad(lambda s: self._G(f, s), 0.0, t,
-                                    epsabs=1e-10, epsrel=1e-10, limit=100)
-                base += val
-            out[f] = base
-        return tuple(out)
+        if t == 0.0:
+            return self.vf
+        self._cover((t,))
+        xs, ys = self._series_at(t, self._xvel, self._yvel)
+        return self.vf[:self.M.a] + tuple(xs) + tuple(ys)
 
     def acceleration(self, t):
         M = self.M
@@ -776,12 +859,34 @@ class _Geodesic:
             return tuple(p.deriv().deriv().eval(t if is_exact(t) else float(t))
                          for p in self.polys)
         t = float(t)
+        self._cover((t,))
+        pos, vel = self._y_state(t)
         out = [0.0] * M.n
         for mu in range(b):
             out[M.yi(mu)] = self._F(M.yi(mu), t)
         for k in range(a):
-            out[M.xsi(k)] = self._G(M.xsi(k), t)
+            out[M.xsi(k)] = self._G(M.xsi(k), t, pos, vel)
         return tuple(out)
+
+    def residual(self, t):
+        """Max abs component of gamma'' + Gamma(gamma', gamma') at parameter t."""
+        pt = self.at(t)
+        vel = self.velocity(t)
+        acc = list(self.acceleration(t))
+        gam = christoffel(self.M, pt, "second")
+        for (u, w, f), val in gam.items():
+            if vel[u] != 0 and vel[w] != 0:
+                acc[f] += val * vel[u] * vel[w]
+        return max(abs(c) for c in acc)
+
+
+def geodesic_fit(M: PlaneWaveMetric, P, v, ts=(), quadrature="auto"):
+    """The geodesic from P with initial velocity v, built once over 0 and every
+    t in ts: its at, velocity, acceleration and residual evaluate it, and in
+    float mode its fit dict gives the Chebyshev degree and relative tail."""
+    g = _Geodesic(M, P, v, quadrature)
+    g._cover(ts)
+    return g
 
 
 def geodesic(M: PlaneWaveMetric, P, v, t, quadrature="auto"):
@@ -790,21 +895,13 @@ def geodesic(M: PlaneWaveMetric, P, v, t, quadrature="auto"):
 
 
 def geodesic_path(M: PlaneWaveMetric, P, v, ts, quadrature="auto"):
-    g = _Geodesic(M, P, v, quadrature)
+    g = geodesic_fit(M, P, v, ts, quadrature)
     return [g.at(t) for t in ts]
 
 
 def geodesic_residual(M: PlaneWaveMetric, P, v, t, quadrature="auto"):
     """Max abs component of gamma'' + Gamma(gamma', gamma') at parameter t."""
-    g = _Geodesic(M, P, v, quadrature)
-    pt = g.at(t)
-    vel = g.velocity(t)
-    acc = list(g.acceleration(t))
-    gam = christoffel(M, pt, "second")
-    for (u, w, f), val in gam.items():
-        if vel[u] != 0 and vel[w] != 0:
-            acc[f] += val * vel[u] * vel[w]
-    return max(abs(c) for c in acc)
+    return _Geodesic(M, P, v, quadrature).residual(t)
 
 
 def exp_inverse(M: PlaneWaveMetric, P, Q, quadrature="auto"):
@@ -830,10 +927,12 @@ def exp_inverse(M: PlaneWaveMetric, P, Q, quadrature="auto"):
 
 
 def geodesic_trace_csv(M: PlaneWaveMetric, P, v, ts, stream, quadrature="auto"):
-    """Write the sampled geodesic as CSV with header t,<coordinate labels>."""
+    """Write the sampled geodesic as CSV with header t,<coordinate labels>;
+    returns the geodesic it evaluated (see geodesic_fit)."""
     import csv
     writer = csv.writer(stream)
     writer.writerow(["t"] + M.labels())
-    g = _Geodesic(M, P, v, quadrature)
+    g = geodesic_fit(M, P, v, ts, quadrature)
     for t in ts:
         writer.writerow([float(t)] + [float(c) for c in g.at(t)])
+    return g

@@ -8,6 +8,7 @@ import pathlib
 import types
 
 from jtcurv import models, planewave, realizations
+from jtcurv.expr import FnExpr
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = ("models", "linalg", "symmetry", "planewave", "realizations", "expr",
@@ -68,3 +69,22 @@ def test_traced_verify_0_model_keeps_span_and_tally(ones_metric):
     assert rep.holds, rep.witness
     assert tracer.stat("realizations.verify_0_model").calls == 1
     assert tracer.tallies["components_checked"] == 4186
+
+
+def test_traced_float_geodesic_counts_integrand_samples():
+    """The float geodesic samples y'' and x*'' through _Geodesic._F and _G,
+    which the tracer counts as planewave.integrand calls; scipy's quad is no
+    longer called."""
+    x1 = FnExpr.var(1)
+    M = realizations.build_M_Phi(
+        realizations.phi_family_specialized(x1.exp(), -((-x1).exp())))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(modules())
+        end = planewave.geodesic(M, (0.1,) * 14, (0.2,) * 14, 1.0)
+    finally:
+        tracer.uninstall()
+    assert len(end) == 14
+    assert tracer.stat("planewave.geodesic").calls == 1
+    assert tracer.stat("planewave.integrand").calls > 0
+    assert tracer.stat("planewave.quad").calls == 0

@@ -245,6 +245,35 @@ def test_geometry_exp_inverse(capsys, ones_json):
     assert payload["checks"][0]["stats"]["max_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("sub", ["geodesic", "exp-inverse"])
+def test_float_geodesic_checks_report_the_fit(capsys, exp_json, tmp_path, sub):
+    rc, payload, _ = run(capsys, "--out", str(tmp_path / "geo.csv"), "--seed", "2",
+                         "--mode", "float", "geometry", "m-phi", sub,
+                         "--params", exp_json)
+    assert rc == 0
+    stats = payload["checks"][0]["stats"]
+    assert stats["cheb_degree"] >= 16
+    assert 0 <= stats["cheb_tail"] <= 1e-15
+
+
+@pytest.mark.parametrize("sub", ["geodesic", "exp-inverse"])
+def test_unconverged_fit_fails_the_check(capsys, exp_json, tmp_path,
+                                         monkeypatch, sub):
+    """A fit stopped at the degree cap above the tail tolerance is a failed
+    check showing its tail, even when the residual is small."""
+    monkeypatch.setattr("jtcurv.planewave._CHEB_CAP", 16)
+    monkeypatch.setattr("jtcurv.planewave._CHEB_TOL", 1e-300)
+    with pytest.warns(RuntimeWarning, match="stopped at degree 16"):
+        rc, payload, _ = run(capsys, "--out", str(tmp_path / "geo.csv"),
+                             "--seed", "2", "--mode", "float", "geometry",
+                             "m-phi", sub, "--params", exp_json)
+    assert rc == 1
+    check = payload["checks"][0]
+    assert check["verdict"] == "fails"
+    assert check["witness"]["unconverged_fit"]["cheb_degree"] == 16
+    assert check["witness"]["unconverged_fit"]["cheb_tail"] > 1e-300
+
+
 @pytest.mark.parametrize("argv, content", [
     (("check-model", "{}"), '{"form": [[true]], "dim": 1, "tensor": []}'),
     (("check-model", "{}"), '{"form": [[1]], "dim": 1, '
@@ -310,6 +339,15 @@ def test_xi_sweep_bounds_must_be_finite(capsys, exp_json, tmp_path,
                      "m-phi", "xi", "--params", exp_json, "--sweep", spec)
     assert rc == 2
     assert err.startswith("error: sweep bounds must be finite")
+
+
+def test_xi_sweep_overflow_is_usage_error(capsys, exp_json, tmp_path):
+    """exp overflows in the warping functions from x1 = 710 on."""
+    rc, _, err = run(capsys, "--out", str(tmp_path / "xi.csv"), "geometry",
+                     "m-phi", "xi", "--params", exp_json, "--sweep",
+                     "x1=700:720:5")
+    assert rc == 2
+    assert err.startswith("error: ")
 
 
 def test_geometry_missing_params(capsys):

@@ -2,19 +2,24 @@
 formula for Christoffel symbols, interpolation-based derivatives for nabla R,
 and a Runge-Kutta integrator for geodesics."""
 
+import csv
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from jtcurv import planewave
 from jtcurv.expr import FnExpr
 from jtcurv.linalg import BilinearForm
 from jtcurv.planewave import (CoordTensor, PlaneWaveMetric, christoffel,
                               covariant_derivative_R, curvature_at,
                               curvature_generic, exp_inverse, geodesic,
-                              geodesic_path, geodesic_residual, metric_at,
-                              nabla_R_component, nabla_R_frame)
+                              geodesic_fit, geodesic_path, geodesic_residual,
+                              geodesic_trace_csv, metric_at, nabla_R_component,
+                              nabla_R_frame)
 from jtcurv.poly import Poly
+from jtcurv.realizations import build_M_Phi, phi_family_specialized
 
 from conftest import rational_point
 
@@ -366,3 +371,96 @@ def test_adaptive_quadrature_agrees_with_exact(rng):
                       1.0, quadrature="adaptive")
     for c_exact, c_adapt in zip(exact, approx):
         assert abs(float(c_exact) - c_adapt) < 1e-9
+
+
+def exp_metric():
+    x1 = FnExpr.var(1)
+    return build_M_Phi(phi_family_specialized(x1.exp(), -((-x1).exp())))
+
+
+def float_draw(rng):
+    return (tuple(rng.uniform(-0.5, 0.5) for _ in range(14)),
+            tuple(rng.uniform(-0.5, 0.5) for _ in range(14)))
+
+
+def assert_points_close(got, want, tol=1e-13):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= tol * max(1.0, abs(w)), (got, want)
+
+
+def test_float_fit_rebuilds_on_the_widened_hull(rng):
+    """A t below 0 or beyond the fitted interval widens it; the point there
+    matches a geodesic fitted on [0, t] alone."""
+    M = exp_metric()
+    for _ in range(3):
+        P, v = float_draw(rng)
+        g = geodesic_fit(M, P, v, (1.0,))
+        assert g.span == (0.0, 1.0)
+        for t, span in ((-0.7, (-0.7, 1.0)), (2.5, (-0.7, 2.5))):
+            assert_points_close(g.at(t), geodesic(M, P, v, t))
+            assert g.span == span
+            assert g.converged
+        assert g.at(0.0) == tuple(P)
+
+
+def test_float_trace_rows_match_geodesic(rng):
+    M = exp_metric()
+    P, v = float_draw(rng)
+    ts = (-0.5, 0.0, 0.4, 1.0, 2.0)
+    buf = io.StringIO()
+    geodesic_trace_csv(M, P, v, ts, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["t"] + M.labels()
+    assert len(rows) == len(ts) + 1
+    for t, row in zip(ts, rows[1:]):
+        assert float(row[0]) == t
+        assert_points_close([float(c) for c in row[1:]], geodesic(M, P, v, t))
+
+
+def test_float_trace_builds_once(rng, monkeypatch):
+    """The y'' samples of a three-point trace are those of one fit over
+    [0, 1]; evaluating the series at each t samples nothing."""
+    calls = []
+    F = planewave._Geodesic._F
+
+    def counted(self, f, s):
+        calls.append(s)
+        return F(self, f, s)
+
+    monkeypatch.setattr(planewave._Geodesic, "_F", counted)
+    M = exp_metric()
+    P, v = float_draw(rng)
+    geodesic_fit(M, P, v, (1.0,))
+    one_build = len(calls)
+    assert one_build > 0
+    calls.clear()
+    geodesic_trace_csv(M, P, v, (0.25, 0.5, 1.0), io.StringIO())
+    assert len(calls) == one_build
+
+
+def test_float_fit_rejects_non_finite_t(rng):
+    M = exp_metric()
+    P, v = float_draw(rng)
+    for t in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            geodesic(M, P, v, t)
+
+
+def test_float_fit_matches_exact_poly_to_rounding(rng):
+    """On polynomial warping functions the Chebyshev fit reproduces the exact
+    polynomial geodesic (points and velocities) up to rounding, before 0 and
+    past 1 alike."""
+    ts = (-0.7, 0.5, 1.0, 2.5)
+    for _ in range(4):
+        M = random_metric(rng, a=2, b=2, degree=2)
+        P = rational_point(rng, M.n, num=2, den=2)
+        v = rational_point(rng, M.n, num=2, den=2)
+        exact = geodesic_fit(M, P, v, quadrature="exact-poly")
+        fit = geodesic_fit(M, [float(c) for c in P], [float(c) for c in v], ts)
+        assert fit.converged
+        for t in ts:
+            want = exact.at(Fraction(t))
+            assert_points_close(fit.at(t), [float(c) for c in want], 1e-12)
+            want = exact.velocity(Fraction(t))
+            assert_points_close(fit.velocity(t), [float(c) for c in want], 1e-12)

@@ -3,7 +3,6 @@ plane-wave realizations."""
 
 from .linalg import BilinearForm, DegenerateFormError, SingularMatrixError
 from .expr import FnExpr
-from .jets import Jet, jet_eval, jet_univariate
 from .poly import Poly
 from .models import (
     CheckReport,

@@ -295,12 +295,7 @@ def cmd_geometry(args):
         count = args.points or 11
         ts = [tmax * k / (count - 1) for k in range(count)] if count > 1 else [tmax]
         stream = _open_out(args)
-        quad = "adaptive" if (args.mode == "float" or M.has_transcendental()) \
-            else "exact-poly"
-        if quad == "adaptive":
-            P = tuple(float(c) for c in P)
-            v = tuple(float(c) for c in v)
-        geo = planewave.geodesic_trace_csv(M, P, v, ts, stream, quadrature=quad)
+        geo = planewave.geodesic_trace_csv(M, P, v, ts, stream)
         if args.out:
             stream.close()
         res = geo.residual(ts[len(ts) // 2])
@@ -313,11 +308,9 @@ def cmd_geometry(args):
             else _random_point(rng, M.n, mode)
         Q = _point_from_arg(args.target, M.n, mode) if args.target \
             else _random_point(rng, M.n, mode)
-        quad = "adaptive" if mode == "float" else "exact-poly"
-        v = planewave.exp_inverse(M, P, Q, quadrature=quad)
-        one = Fraction(1) if quad == "exact-poly" else 1.0
-        geo = planewave.geodesic_fit(M, P, v, (one,), quadrature=quad)
-        reached = geo.at(one)
+        v = planewave.exp_inverse(M, P, Q)
+        geo = planewave.geodesic_fit(M, P, v, (1,))
+        reached = geo.at(1)
         res = max(abs(float(r) - float(q)) for r, q in zip(reached, Q))
         obj["velocity"] = [scalar_to_json(c) for c in v]
         ok = res < max(args.tol, 1e-9)
@@ -349,12 +342,19 @@ def _positive_int(text):
     return n
 
 
+def _tolerance(text):
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return x
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="jtcurv",
                                 description="verify Jacobi-Tsankov curvature "
                                             "models and plane-wave metrics")
     p.add_argument("--mode", choices=["rational", "float"], default="rational")
-    p.add_argument("--tol", type=float, default=REL_TOL)
+    p.add_argument("--tol", type=_tolerance, default=REL_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=_positive_int, default=None)
     p.add_argument("--out", default=None)

@@ -1,10 +1,14 @@
 """Expression trees for the warping functions of the plane-wave metrics.
 
 A FnExpr is an immutable tree over variables x1..xa with nodes
-{const, var, +, -, *, /, pow(int), exp, log, sin, cos, compose}.  Polynomial
-subtrees evaluate and differentiate exactly over rationals; transcendental
-nodes force float mode.  Evaluation is duck-typed, so polynomial objects can
-be threaded through a tree (used for exact geodesic quadrature).
+{const, var, +, -, *, /, pow(int), exp, log, sin, cos, compose}.  Evaluation
+follows the data: sums, products, quotients and integer powers of exact
+values (Fraction, int) stay exact, and so do exp, log, sin and cos at the
+points where their value is rational (exp 0, log 1, sin 0, cos 0); anywhere
+else a transcendental node returns a float, and from there the result is a
+float.  A tree with no transcendental node that divides only by constants
+(``is_polynomial``) also evaluates at Poly arguments, which is how exact
+geodesic quadrature composes the warping functions with the affine x(t).
 
 The ``log`` node is not strictly needed for polynomial metrics but is what
 makes antiderivatives of reciprocal exponentials (needed for the phi
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import is_exact, scalar_from_json, scalar_to_json
 
 
 class EvalError(ValueError):
@@ -24,45 +28,23 @@ class EvalError(ValueError):
 
 
 def _exp(x):
-    if isinstance(x, (Fraction, int)):
-        if x == 0:
-            return Fraction(1)
-        x = float(x)
-    if isinstance(x, float):
-        return math.exp(x)
-    return x.exp()  # duck-typed (jets)
+    return Fraction(1) if x == 0 and not isinstance(x, float) else math.exp(x)
 
 
 def _log(x):
-    if isinstance(x, (Fraction, int)):
-        if x == 1:
-            return Fraction(0)
-        x = float(x)
-    if isinstance(x, float):
-        if x <= 0:
-            raise EvalError("log of nonpositive value")
-        return math.log(x)
-    return x.log()
+    if x == 1 and not isinstance(x, float):
+        return Fraction(0)
+    if x <= 0:
+        raise EvalError("log of nonpositive value")
+    return math.log(x)
 
 
 def _sin(x):
-    if isinstance(x, (Fraction, int)):
-        if x == 0:
-            return Fraction(0)
-        x = float(x)
-    if isinstance(x, float):
-        return math.sin(x)
-    return x.sin()
+    return Fraction(0) if x == 0 and not isinstance(x, float) else math.sin(x)
 
 
 def _cos(x):
-    if isinstance(x, (Fraction, int)):
-        if x == 0:
-            return Fraction(1)
-        x = float(x)
-    if isinstance(x, float):
-        return math.cos(x)
-    return x.cos()
+    return Fraction(1) if x == 0 and not isinstance(x, float) else math.cos(x)
 
 
 class FnExpr:
@@ -157,7 +139,7 @@ class FnExpr:
         a = self.args[0].eval(point)
         if op == "pow":
             k = self.value
-            if k < 0 and (a == 0 if not isinstance(a, float) else a == 0.0):
+            if k < 0 and a == 0:
                 raise EvalError("zero raised to a negative power")
             return a ** k
         if op == "exp":
@@ -176,9 +158,7 @@ class FnExpr:
         if op == "*":
             return a * b
         if op == "/":
-            if not isinstance(b, float) and b == 0:
-                raise EvalError("division by zero")
-            if isinstance(b, float) and b == 0.0:
+            if b == 0:
                 raise EvalError("division by zero")
             return a / b
         raise ValueError(f"unknown op {op!r}")
@@ -246,6 +226,25 @@ class FnExpr:
         if self.op in ("exp", "log", "sin", "cos"):
             return True
         return any(a.has_transcendental() for a in self.args)
+
+    def _has_var(self):
+        if self.op == "var":
+            return True
+        return any(a._has_var() for a in self.args)
+
+    def is_polynomial(self):
+        """True for a polynomial with exact coefficients: no exp, log, sin or
+        cos node, every constant exact, and ``/`` and negative powers only
+        applied to subtrees with no variable."""
+        op = self.op
+        if op == "const":
+            return is_exact(self.value)
+        if op in ("exp", "log", "sin", "cos"):
+            return False
+        if op == "/" and self.args[1]._has_var() \
+                or op == "pow" and self.value < 0 and self.args[0]._has_var():
+            return False
+        return all(a.is_polynomial() for a in self.args)
 
     # -- serialization ----------------------------------------------------
     def to_json(self):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import FLOAT, RATIONAL, close, is_exact, iszero
+from .scalars import as_divisor, close, is_exact, iszero
 
 
 class DegenerateFormError(ValueError):
@@ -26,7 +26,7 @@ def identity(n):
 
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
-    out = [[0] * p for _ in range(n)]
+    out = [[Fraction(0)] * p for _ in range(n)]
     for i in range(n):
         Ai = A[i]
         row = out[i]
@@ -39,7 +39,7 @@ def mat_mul(A, B):
                 b = Bk[j]
                 if b != 0:
                     row[j] += a * b
-    return [[Fraction(x) if not isinstance(x, float) else x for x in row] for row in out]
+    return out
 
 
 def transpose(A):
@@ -84,7 +84,7 @@ def mat_inv(A):
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         M[col], M[piv] = M[piv], M[col]
-        p = M[col][col]
+        p = as_divisor(M[col][col])
         M[col] = [x / p for x in M[col]]
         for r in range(n):
             if r != col and M[r][col] != 0:
@@ -106,7 +106,7 @@ def rref(A):
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        p = M[r][c]
+        p = as_divisor(M[r][c])
         M[r] = [x / p for x in M[r]]
         for rr in range(rows):
             if rr != r and M[rr][c] != 0:
@@ -137,7 +137,7 @@ def in_span(vector, basis):
     for b in basis:
         lead = next((j for j, x in enumerate(b) if _pivot_ok(x)), None)
         if lead is not None and v[lead] != 0:
-            f = v[lead] / b[lead]
+            f = v[lead] / as_divisor(b[lead])
             v = [x - f * y for x, y in zip(v, b)]
     return all(iszero(x) for x in v)
 
@@ -184,14 +184,6 @@ class BilinearForm:
                 if not close(self.entries[i][j], self.entries[j][i]):
                     raise ValueError("bilinear form matrix must be symmetric")
 
-    @property
-    def mode(self):
-        for row in self.entries:
-            for x in row:
-                if isinstance(x, float):
-                    return FLOAT
-        return RATIONAL
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -232,7 +224,7 @@ class BilinearForm:
                         M[r][k] = M[r][k] + M[r][off]
                     for c in range(n):
                         M[k][c] = M[k][c] + M[off][c]
-            piv = M[k][k]
+            piv = as_divisor(M[k][k])
             if piv < 0:
                 p += 1
             else:

@@ -38,7 +38,7 @@ from .expr import FnExpr
 from .linalg import BilinearForm, mat_inv
 from .models import canonicalize_riemann, riemann_orbit
 from .poly import Poly
-from .scalars import is_exact, iszero, scalar_to_json
+from .scalars import close, is_exact, iszero, scalar_from_json, scalar_to_json
 
 
 class PlaneWaveMetric:
@@ -126,6 +126,13 @@ class PlaneWaveMetric:
     def has_transcendental(self):
         return any(f.has_transcendental() for fns in self.psi.values() for f in fns)
 
+    def is_polynomial(self):
+        """True when C is exact and every psi is a polynomial with exact
+        coefficients (FnExpr.is_polynomial): the geodesic equations then
+        integrate in Poly."""
+        return all(is_exact(c) for row in self.C.entries for c in row) \
+            and all(f.is_polynomial() for fns in self.psi.values() for f in fns)
+
     # -- psi access -----------------------------------------------------
     def psi_fn(self, i, j, mu):
         fns = self.psi.get((min(i, j), max(i, j)))
@@ -147,7 +154,7 @@ class PlaneWaveMetric:
     def dpsi_val(self, i, j, mu, derivs, x):
         f = self.dpsi(i, j, mu, derivs)
         if f is None or f.is_zero_const():
-            return Fraction(0) if not any(isinstance(c, float) for c in x) else 0.0
+            return 0
         return f.eval(x)
 
     # -- serialization --------------------------------------------------
@@ -163,7 +170,6 @@ class PlaneWaveMetric:
 
     @staticmethod
     def from_json(obj):
-        from .scalars import scalar_from_json
         C = [[scalar_from_json(x) for x in row] for row in obj["C"]]
         psi = {}
         for key, fns in obj.get("psi", {}).items():
@@ -192,10 +198,8 @@ class CoordTensor:
     def items(self):
         return self.comps.items()
 
-    def is_zero(self, rel=None):
-        from .scalars import close
-        return all(close(v, 0) if rel is None else close(v, 0, rel=rel)
-                   for v in self.comps.values())
+    def is_zero(self):
+        return all(close(v, 0) for v in self.comps.values())
 
     def max_abs(self):
         return max((abs(v) for v in self.comps.values()), default=Fraction(0))
@@ -210,12 +214,10 @@ def metric_at(M: PlaneWaveMetric, P) -> BilinearForm:
     x = tuple(P[:a])
     y = P[2 * a:]
     G = [[Fraction(0)] * n for _ in range(n)]
-    exact = all(is_exact(c) for c in P)
-    zero = Fraction(0) if exact else 0.0
     for i in range(a):
-        G[i][M.xsi(i)] = G[M.xsi(i)][i] = Fraction(1) if exact else 1.0
+        G[i][M.xsi(i)] = G[M.xsi(i)][i] = 1
         for j in range(i, a):
-            s = zero
+            s = 0
             for mu in range(b):
                 if y[mu] != 0:
                     f = M.psi_fn(i, j, mu)
@@ -622,9 +624,10 @@ def nabla_R_frame(M: PlaneWaveMetric, P, vecs4, dvecs, engine=None):
 
 
 def _resolve_quadrature(M, values, quadrature):
-    """"auto" becomes "exact-poly" for rational data on polynomial warping
-    functions and "adaptive" otherwise; "exact-poly" is checked."""
-    exact = all(is_exact(c) for c in values) and not M.has_transcendental()
+    """"auto" becomes "exact-poly" for rational data on a polynomial metric
+    (PlaneWaveMetric.is_polynomial) and "adaptive" otherwise; "exact-poly"
+    is checked."""
+    exact = all(is_exact(c) for c in values) and M.is_polynomial()
     if quadrature == "exact-poly" and not exact:
         raise ValueError("exact-poly quadrature needs rational data and "
                          "polynomial warping functions")
@@ -740,13 +743,14 @@ class _Geodesic:
         return self.fit.get("cheb_tail", 0.0) <= _CHEB_TOL
 
     def _cover(self, ts):
-        """Make the float series cover 0, every t in ts and the interval they
-        already cover, rebuilding them on the hull if a t falls outside."""
+        """Check that every t in ts is finite; in float mode, make the series
+        cover 0, every t in ts and the interval they already cover, rebuilding
+        them on the hull if a t falls outside."""
+        if not all(is_exact(t) or math.isfinite(t) for t in ts):
+            raise ValueError(f"geodesic parameters must be finite, got {list(ts)}")
         if self.quadrature == "exact-poly":
             return
         ts = [float(t) for t in ts]
-        if not all(math.isfinite(t) for t in ts):
-            raise ValueError(f"geodesic parameters must be finite, got {ts}")
         lo, hi = min(ts + [0.0]), max(ts + [0.0])
         if self.span is not None:
             if self.span[0] <= lo and hi <= self.span[1]:
@@ -833,6 +837,7 @@ class _Geodesic:
 
     def at(self, t):
         if self.quadrature == "exact-poly":
+            self._cover((t,))
             return tuple(p.eval(t if is_exact(t) else float(t)) for p in self.polys)
         t = float(t)
         if t == 0.0:
@@ -843,6 +848,7 @@ class _Geodesic:
 
     def velocity(self, t):
         if self.quadrature == "exact-poly":
+            self._cover((t,))
             return tuple(p.deriv().eval(t if is_exact(t) else float(t))
                          for p in self.polys)
         t = float(t)
@@ -856,6 +862,7 @@ class _Geodesic:
         M = self.M
         a, b = M.a, M.b
         if self.quadrature == "exact-poly":
+            self._cover((t,))
             return tuple(p.deriv().deriv().eval(t if is_exact(t) else float(t))
                          for p in self.polys)
         t = float(t)
@@ -910,17 +917,16 @@ def exp_inverse(M: PlaneWaveMetric, P, Q, quadrature="auto"):
     P = tuple(P)
     Q = tuple(Q)
     quadrature = _resolve_quadrature(M, P + Q, quadrature)
-    zero = Fraction(0) if quadrature == "exact-poly" else 0.0
-    v = [zero] * M.n
+    v = [0] * M.n
     for i in range(a):
         v[i] = Q[i] - P[i]
     # y displacement depends on v_x only, x* displacement on (v_x, v_y) only
     probe = _Geodesic(M, P, v, quadrature)
-    reached = probe.at(Fraction(1) if quadrature == "exact-poly" else 1.0)
+    reached = probe.at(1)
     for mu in range(b):
         v[M.yi(mu)] = Q[M.yi(mu)] - reached[M.yi(mu)]
     probe = _Geodesic(M, P, v, quadrature)
-    reached = probe.at(Fraction(1) if quadrature == "exact-poly" else 1.0)
+    reached = probe.at(1)
     for k in range(a):
         v[M.xsi(k)] = Q[M.xsi(k)] - reached[M.xsi(k)]
     return tuple(v)
@@ -930,9 +936,9 @@ def geodesic_trace_csv(M: PlaneWaveMetric, P, v, ts, stream, quadrature="auto"):
     """Write the sampled geodesic as CSV with header t,<coordinate labels>;
     returns the geodesic it evaluated (see geodesic_fit)."""
     import csv
+    g = geodesic_fit(M, P, v, ts, quadrature)
     writer = csv.writer(stream)
     writer.writerow(["t"] + M.labels())
-    g = geodesic_fit(M, P, v, ts, quadrature)
     for t in ts:
         writer.writerow([float(t)] + [float(c) for c in g.at(t)])
     return g

@@ -2,17 +2,14 @@
 
 Used to thread exact quadrature through geodesic integration: evaluating a
 polynomial warping function at a Poly argument produces the composed Poly,
-and antiderivatives stay rational.  Transcendental operations deliberately
-raise, which is what forces float mode for non-polynomial metrics.
+and antiderivatives stay rational.  Only ring operations, division by a
+constant and powers >= 0 are defined; geodesics reach Poly only for warping
+functions that FnExpr.is_polynomial accepts, so nothing else is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-class TranscendentalError(TypeError):
-    """A transcendental function was applied to an exact polynomial."""
 
 
 class Poly:
@@ -101,24 +98,12 @@ class Poly:
             if other == 0:
                 raise ZeroDivisionError("division of polynomial by zero")
             return Poly(c / other for c in self.coeffs)
-        if isinstance(other, Poly):
-            if other.degree == 0:
-                return self / other.coeffs[0]
-            raise TranscendentalError("division by a non-constant polynomial")
         return NotImplemented
 
-    def __rtruediv__(self, other):
-        if self.degree == 0 and self.coeffs:
-            return Poly.const(Fraction(other) / self.coeffs[0])
-        raise TranscendentalError("reciprocal of a non-constant polynomial")
-
     def __pow__(self, k):
-        if not isinstance(k, int):
+        # a negative k would never end the loop below
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k < 0:
-            if self.degree == 0 and self.coeffs:
-                return Poly.const(self.coeffs[0] ** k)
-            raise TranscendentalError("negative power of a non-constant polynomial")
         out = Poly.const(1)
         base = self
         while k:
@@ -127,27 +112,6 @@ class Poly:
             base = base * base
             k >>= 1
         return out
-
-    # transcendental hooks called by FnExpr duck-typed evaluation
-    def exp(self):
-        if self.degree <= 0:
-            v = self.coeffs[0] if self.coeffs else Fraction(0)
-            if v == 0:
-                return Poly.const(1)
-        raise TranscendentalError("exp of a polynomial is not polynomial")
-
-    def log(self):
-        if self.degree <= 0:
-            v = self.coeffs[0] if self.coeffs else Fraction(0)
-            if v == 1:
-                return Poly.const(0)
-        raise TranscendentalError("log of a polynomial is not polynomial")
-
-    def sin(self):
-        raise TranscendentalError("sin of a polynomial is not polynomial")
-
-    def cos(self):
-        raise TranscendentalError("cos of a polynomial is not polynomial")
 
     def eval(self, x):
         acc = Fraction(0) if not isinstance(x, float) else 0.0

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import FnExpr
-from .jets import jet_univariate
 from .linalg import solve, transpose
 from .models import M14_LABELS, CheckReport, Model0, build_m14, riemann_orbit
 from .planewave import (PlaneWaveMetric, _CovREngine, metric_at, nabla_R_frame,
                         nabla_R_support)
-from .scalars import REL_TOL, close, is_exact, iszero
+from .scalars import REL_TOL, close, iszero
 from .symmetry import pullback
 
 #: y-coordinate order: the (i,j) pair labels of the eight y's
@@ -36,7 +35,7 @@ class PhiFamily:
 
     SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1), Fraction(2))
 
-    def __init__(self, phi, check=True):
+    def __init__(self, phi):
         self.phi = {}
         for i in (1, 2, 3):
             for j in (1, 2):
@@ -44,8 +43,7 @@ class PhiFamily:
                 if f is None:
                     raise ValueError(f"missing phi[{i},{j}]")
                 self.phi[(i, j)] = f
-        if check:
-            self._check_reciprocal()
+        self._check_reciprocal()
 
     def __getitem__(self, ij):
         return self.phi[ij]
@@ -55,11 +53,9 @@ class PhiFamily:
         for i in (1, 2, 3):
             d1 = self.phi[(i, 1)].diff(i)
             d2 = self.phi[(i, 2)].diff(i)
-            exact = not (self.phi[(i, 1)].has_transcendental()
-                         or self.phi[(i, 2)].has_transcendental())
             checked = 0
             for t in self.SAMPLES:
-                pt = [t if exact else float(t)] * i
+                pt = [t] * i
                 try:
                     prod = d1.eval(pt) * d2.eval(pt)
                 except EvalError:
@@ -223,27 +219,24 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
         raise ValueError("frame normalization requires the a=3, b=8 family")
     P = tuple(P)
     eng = _CovREngine(M, P)
-    exact = all(is_exact(c) for c in P) and not M.has_transcendental()
-    one = Fraction(1) if exact else 1.0
 
     def e(idx):
-        return tuple((one if t == idx else (Fraction(0) if exact else 0.0))
-                     for t in range(14))
+        return tuple(1 if t == idx else 0 for t in range(14))
 
-    lam = [one] * 8
+    lam = [1] * 8
     for pair, (i, j, _) in _LAMBDA_PATTERNS:
         mu = _YIDX[pair]
         r = eng.value((i, j, j, M.yi(mu)))
         if iszero(r):
             raise ValueError(f"degenerate point: unit curvature pattern for "
                              f"y{pair} vanishes")
-        lam[mu] = one / r
+        lam[mu] = Fraction(1) / r
 
     # stage two: t[i][mu] coefficients from a linear solve
     rows = []
     rhs = []
     for (p, q, r, s) in _XXXX_BASIS:
-        row = [Fraction(0) if exact else 0.0] * 24
+        row = [0] * 24
         for slot, m in enumerate((p, q, r, s)):
             for mu in range(8):
                 idx = [p, q, r, s]
@@ -258,7 +251,7 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
 
     beta_bar = []
     for mu in range(8):
-        v = [Fraction(0) if exact else 0.0] * 14
+        v = [0] * 14
         v[M.yi(mu)] = lam[mu]
         beta_bar.append(tuple(v))
     alpha_tilde = []
@@ -285,7 +278,7 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
         for j in range(3):
             gij = g.apply(alpha_tilde[i], alpha_tilde[j])
             if gij != 0:
-                v[M.xsi(j)] -= gij / 2
+                v[M.xsi(j)] -= gij / Fraction(2)
         alpha.append(tuple(v))
 
     vectors = {}
@@ -437,8 +430,11 @@ def xi_invariant(M: PlaneWaveMetric, P, mode: str = "frame") -> XiValue:
         phi = getattr(M, "phi", None)
         if phi is None:
             raise ValueError("direct mode needs a metric built from a phi family")
-        x1 = P[0]
-        f0, f1, f2, f3 = jet_univariate(phi[(1, 1)], x1, 3, var_index=1)
+        derivs = [phi[(1, 1)]]
+        for _ in range(3):
+            derivs.append(derivs[-1].diff(1))
+        # phi itself is evaluated too, so a point outside its domain raises
+        f0, f1, f2, f3 = (g.eval((P[0],)) for g in derivs)
         if iszero(f1) or iszero(f2):
             raise ZeroDivisionError("phi' or phi'' vanishes; Xi is undefined")
         q = 1 - f1 * f3 / (f2 * f2)

@@ -1,19 +1,18 @@
-"""Scalar modes: exact rationals (the default) and binary64 floats.
+"""Scalars: exact rationals (Fraction, int) and binary64 floats.
 
-Rational mode is the workhorse: every model-level identity is checked
-bit-exactly with ``fractions.Fraction``.  Float mode exists for metrics whose
-warping functions contain transcendental nodes; all float comparisons go
-through :func:`close` with a relative tolerance.
+There is no mode switch: a value is exact when its inputs are, and Python's
+numeric tower carries Fraction versus float through every sum and product.
+Every model-level identity on exact data is therefore checked bit-exactly.
+A float enters only from float input or from a transcendental node of a
+warping function evaluated where its value is irrational; comparisons that
+involve a float go through :func:`close` with a relative tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-RATIONAL = "rational"
-FLOAT = "float"
-
-#: Default relative tolerance for float-mode comparisons.
+#: Default relative tolerance for float comparisons.
 REL_TOL = 1e-9
 #: Absolute floor so comparisons against zero are meaningful.
 ABS_TOL = 1e-12
@@ -23,18 +22,24 @@ def is_exact(x) -> bool:
     return isinstance(x, (Fraction, int))
 
 
-def close(a, b, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
+def close(a, b, rel: float = REL_TOL) -> bool:
     """Compare two scalars: exact equality for rationals, tolerant for floats."""
     if is_exact(a) and is_exact(b):
         return a == b
     a, b = float(a), float(b)
-    return abs(a - b) <= max(abs_, rel * max(abs(a), abs(b)))
+    return abs(a - b) <= max(ABS_TOL, rel * max(abs(a), abs(b)))
 
 
-def iszero(x, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
+def as_divisor(x):
+    """x ready to divide by: an int becomes a Fraction, since int / int
+    would give a float."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
+def iszero(x) -> bool:
     if is_exact(x):
         return x == 0
-    return abs(x) <= abs_
+    return abs(x) <= ABS_TOL
 
 
 def scalar_to_json(x):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .linalg import mat_mul, nullspace_basis, transpose
 from .models import M14_LABELS, CheckReport, Model0
-from .scalars import REL_TOL, close
+from .scalars import REL_TOL, as_divisor, close
 
 _LAB = {name: i for i, name in enumerate(M14_LABELS)}
 
@@ -28,7 +28,7 @@ def _matrix_from_map(mapping):
     for src, terms in mapping.items():
         j = _LAB[src]
         for coeff, dst in terms:
-            T[_LAB[dst]][j] += Fraction(coeff) if not isinstance(coeff, float) else coeff
+            T[_LAB[dst]][j] += coeff
     for name in M14_LABELS:
         if name not in mapping:
             T[_LAB[name]][_LAB[name]] = Fraction(1)
@@ -66,7 +66,7 @@ def rotation(c, s):
     if not close(c * c + s * s, 1):
         raise ValueError("rotation parameters must satisfy c^2 + s^2 = 1")
     c2, s2, cs = c * c, s * s, c * s
-    half = Fraction(1, 2) if not isinstance(cs, float) else 0.5
+    half = Fraction(1, 2)
     mp = {
         "a1": [(c, "a1"), (s, "a2")],
         "a2": [(-s, "a1"), (c, "a2")],
@@ -87,24 +87,17 @@ def rotation(c, s):
     return _matrix_from_map(mp)
 
 
-def _div(x, y):
-    if isinstance(x, float) or isinstance(y, float):
-        return float(x) / float(y)
-    return Fraction(x) / Fraction(y)
-
-
 def dilatation(a1, a2, a3):
     """Diagonal symmetry scaling alpha_i by a_i; requires a1 a2 a3 = 1."""
     if not close(a1 * a2 * a3, 1):
         raise ValueError("dilatation requires a1*a2*a3 = 1")
+    d1, d2, d3 = (as_divisor(a) for a in (a1, a2, a3))
     mp = {
         "a1": [(a1, "a1")], "a2": [(a2, "a2")], "a3": [(a3, "a3")],
-        "a1*": [(_div(1, a1), "a1*")],
-        "a2*": [(_div(1, a2), "a2*")],
-        "a3*": [(_div(1, a3), "a3*")],
-        "b1,1": [(_div(a2, a3), "b1,1")], "b1,2": [(_div(a3, a2), "b1,2")],
-        "b2,1": [(_div(a3, a1), "b2,1")], "b2,2": [(_div(a1, a3), "b2,2")],
-        "b3,1": [(_div(a2, a1), "b3,1")], "b3,2": [(_div(a1, a2), "b3,2")],
+        "a1*": [(1 / d1, "a1*")], "a2*": [(1 / d2, "a2*")], "a3*": [(1 / d3, "a3*")],
+        "b1,1": [(a2 / d3, "b1,1")], "b1,2": [(a3 / d2, "b1,2")],
+        "b2,1": [(a3 / d1, "b2,1")], "b2,2": [(a1 / d3, "b2,2")],
+        "b3,1": [(a2 / d1, "b3,1")], "b3,2": [(a1 / d2, "b3,2")],
     }
     return _matrix_from_map(mp)
 

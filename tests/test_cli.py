@@ -256,6 +256,54 @@ def test_float_geodesic_checks_report_the_fit(capsys, exp_json, tmp_path, sub):
     assert 0 <= stats["cheb_tail"] <= 1e-15
 
 
+@pytest.fixture(params=["1/(x1+3)", "0.5*x1"])
+def nonpoly_json(tmp_path, request):
+    """A metric on exact data whose first psi is no polynomial over the
+    rationals: a rational function, or a float coefficient."""
+    from jtcurv.planewave import PlaneWaveMetric
+    x1, x2 = FnExpr.var(1), FnExpr.var(2)
+    psi11 = 1 / (x1 + 3) if request.param == "1/(x1+3)" else 0.5 * x1
+    M = PlaneWaveMetric(2, 2, [[0, 1], [1, 0]],
+                        {(0, 0): [psi11, x2], (0, 1): [x1, FnExpr.const(0)]})
+    p = tmp_path / "nonpoly.json"
+    p.write_text(json.dumps(M.to_json()))
+    return str(p)
+
+
+@pytest.mark.parametrize("sub, flag, value", [
+    ("geodesic", "--velocity", ["1/2", "2/3", 0, 0, 1, "-1/2"]),
+    ("exp-inverse", "--target", [1, "1/3", "-1/2", 0, "3/2", 1]),
+])
+def test_non_polynomial_metric_takes_the_chebyshev_fit(capsys, nonpoly_json,
+                                                      tmp_path, sub, flag, value):
+    """Exact points on a non-polynomial psi: the geodesic checks fit
+    Chebyshev series instead of integrating polynomials."""
+    rc, payload, _ = run(capsys, "--out", str(tmp_path / "geo.csv"), "geometry",
+                         nonpoly_json, sub, "--point",
+                         json.dumps(["1/2", "-1/3", 1, 2, -1, "1/4"]),
+                         flag, json.dumps(value))
+    assert rc == 0
+    assert payload["checks"][0]["stats"]["cheb_degree"] >= 16
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_geodesic_t_must_be_finite(capsys, ones_json, tmp_path, mode, t):
+    rc, payload, err = run(capsys, "--out", str(tmp_path / "geo.csv"), "--mode",
+                           mode, "geometry", "m-a", "geodesic", "--params",
+                           ones_json, f"--t={t}")
+    assert rc == 2
+    assert payload is None and "finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
+def test_tol_must_be_a_finite_nonnegative_number(capsys, ones_json, tol):
+    rc, payload, err = run(capsys, "--tol", tol, "geometry", "m-a",
+                           "exp-inverse", "--params", ones_json)
+    assert rc == 2
+    assert payload is None and "--tol" in err
+
+
 @pytest.mark.parametrize("sub", ["geodesic", "exp-inverse"])
 def test_unconverged_fit_fails_the_check(capsys, exp_json, tmp_path,
                                          monkeypatch, sub):

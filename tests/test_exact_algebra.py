@@ -1,5 +1,5 @@
-"""Unit and property tests for the scalar, linear-algebra, expression,
-jet and polynomial layers."""
+"""Unit and property tests for the scalar, linear-algebra, expression and
+polynomial layers."""
 
 import math
 from fractions import Fraction
@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from jtcurv import scalars
 from jtcurv.expr import EvalError, FnExpr
-from jtcurv.jets import jet_eval, jet_univariate
 from jtcurv.linalg import (BilinearForm, DegenerateFormError,
                            SingularMatrixError, identity, in_span, mat_inv,
                            mat_mul, nullspace_basis, rank, row_space_basis,
                            rref, solve)
-from jtcurv.poly import Poly, TranscendentalError
+from jtcurv.poly import Poly
 
 fractions_st = st.fractions(min_value=-20, max_value=20,
                             max_denominator=12)
@@ -85,6 +84,16 @@ def test_rref_idempotent():
     R, pivots = rref(A)
     assert rref(R)[0] == R
     assert pivots == [0, 2]
+
+
+def test_integer_input_stays_exact():
+    A = [[2, 1], [1, 3]]
+    assert mat_inv(A) == [[Fraction(3, 5), Fraction(-1, 5)],
+                          [Fraction(-1, 5), Fraction(2, 5)]]
+    assert solve(A, [1, 1]) == (Fraction(2, 5), Fraction(1, 5))
+    R, _ = rref(A)
+    assert all(isinstance(x, Fraction) for row in R for x in row)
+    assert BilinearForm([[0, 1], [1, 0]]).signature() == (1, 1)
 
 
 def test_solve_consistency():
@@ -196,6 +205,24 @@ def test_expr_division_and_log_derivative():
     assert g.eval([Fraction(4)]) == Fraction(1, 4)
 
 
+def test_expr_is_polynomial():
+    from jtcurv.realizations import AFamily, build_M_A, build_M_Phi, \
+        phi_family_specialized
+    x1 = FnExpr.var(1)
+    ones = AFamily({(i, j): Fraction(1) for i in (1, 2, 3) for j in (1, 2)})
+    M_A = build_M_A(ones)
+    assert all(f.is_polynomial() for fns in M_A.psi.values() for f in fns)
+    assert M_A.is_polynomial()
+    assert (x1 / 2).is_polynomial()
+    assert (FnExpr.const(2) ** -1 * x1).is_polynomial()
+    M_Phi = build_M_Phi(phi_family_specialized(x1.exp(), -((-x1).exp())))
+    assert not M_Phi.is_polynomial()
+    assert not (1 / (x1 + 3)).is_polynomial()
+    assert not (x1 ** -1).is_polynomial()
+    # a float coefficient is not exact data
+    assert not (0.5 * x1).is_polynomial()
+
+
 def test_expr_json_roundtrip():
     x1, x2 = FnExpr.var(1), FnExpr.var(2)
     f = (x1 ** 2 * x2 - Fraction(3, 7)).exp() + x2.sin() / (x1 + 1)
@@ -215,40 +242,6 @@ def test_expr_product_rule(coeffs, t):
     lhs = (f * g).diff(1).eval([t])
     rhs = f.diff(1).eval([t]) * g.eval([t]) + f.eval([t]) * g.diff(1).eval([t])
     assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# jets
-
-
-def test_jet_eval_mixed_partials():
-    x1, x2 = FnExpr.var(1), FnExpr.var(2)
-    f = x1 ** 2 * x2 ** 3
-    jet = jet_eval(f, [Fraction(2), Fraction(3)], dirs=(1, 2), k=2)
-    # d^2 f / dx1 dx2 = 2 x1 * 3 x2^2
-    assert jet[(1, 1)] == 2 * 2 * 3 * 9
-    assert jet.value == 4 * 27
-
-
-def test_jet_univariate_exponential():
-    f = FnExpr.var(1).exp()
-    vals = jet_univariate(f, 0.5, 3)
-    e = math.exp(0.5)
-    for v in vals:
-        assert abs(v - e) < 1e-12
-
-
-@given(st.lists(fractions_st, min_size=3, max_size=3), fractions_st)
-@settings(max_examples=40, deadline=None)
-def test_jet_univariate_matches_direct_diff(coeffs, t):
-    a, b, c = coeffs
-    x = FnExpr.var(1)
-    f = FnExpr.const(a) * x ** 3 + FnExpr.const(b) * x + FnExpr.const(c)
-    f0, f1, f2, f3 = jet_univariate(f, t, 3)
-    assert f0 == f.eval([t])
-    assert f1 == 3 * a * t * t + b
-    assert f2 == 6 * a * t
-    assert f3 == 6 * a
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +272,7 @@ def test_poly_arithmetic_with_fractions():
     assert (p / 2).eval(Fraction(3)) == Fraction(-8, 2)
 
 
-def test_poly_transcendental_hooks_refuse():
-    with pytest.raises(TranscendentalError):
-        Poly.t().exp()
-    # constants are fine only where an exact value exists
-    assert Poly.const(Fraction(0)).exp() == Poly.const(Fraction(1))
+def test_poly_negative_power_is_refused():
+    # the square-and-multiply loop would never end on a negative exponent
+    with pytest.raises(TypeError):
+        Poly.t() ** -1

@@ -439,12 +439,42 @@ def test_float_trace_builds_once(rng, monkeypatch):
     assert len(calls) == one_build
 
 
-def test_float_fit_rejects_non_finite_t(rng):
-    M = exp_metric()
-    P, v = float_draw(rng)
-    for t in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="finite"):
-            geodesic(M, P, v, t)
+def test_float_fit_rejects_non_finite_t(rng, ones_metric):
+    """Float and exact-poly geodesics alike refuse a non-finite parameter,
+    at every evaluation."""
+    exact = (ones_metric, rational_point(rng), rational_point(rng))
+    for M, P, v in ((exp_metric(),) + float_draw(rng), exact):
+        g = geodesic_fit(M, P, v, (1,))
+        for t in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                geodesic(M, P, v, t)
+            for evaluate in (g.at, g.velocity, g.acceleration):
+                with pytest.raises(ValueError, match="finite"):
+                    evaluate(t)
+    assert g.quadrature == "exact-poly"
+
+
+def rational_function_metric():
+    """A metric whose psi is the rational function 1/(x1 + 3): exact data
+    that no polynomial integrates."""
+    x1, x2 = FnExpr.var(1), FnExpr.var(2)
+    return PlaneWaveMetric(2, 2, [[0, 1], [1, 0]],
+                           {(0, 0): [1 / (x1 + 3), x2], (0, 1): [x1, FnExpr.const(0)]})
+
+
+def test_rational_function_psi_takes_the_chebyshev_fit():
+    M = rational_function_metric()
+    assert not M.has_transcendental() and not M.is_polynomial()
+    P = (Fraction(1, 2), Fraction(-1, 3), 1, Fraction(2), Fraction(-1), Fraction(1, 4))
+    Q = (Fraction(1), Fraction(1, 3), Fraction(-1, 2), 0, Fraction(3, 2), 1)
+    v = (Fraction(1, 2), Fraction(2, 3), 0, 0, Fraction(1), Fraction(-1, 2))
+    with pytest.raises(ValueError, match="exact-poly"):
+        geodesic(M, P, v, 1, quadrature="exact-poly")
+    g = geodesic_fit(M, P, v, (1,))
+    assert g.quadrature == "adaptive" and g.converged and g.fit["cheb_degree"] >= 16
+    assert geodesic_residual(M, P, v, Fraction(1, 2)) < 1e-12
+    w = exp_inverse(M, P, Q)
+    assert_points_close(geodesic(M, P, w, 1), [float(c) for c in Q], 1e-12)
 
 
 def test_float_fit_matches_exact_poly_to_rounding(rng):

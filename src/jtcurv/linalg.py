@@ -179,6 +179,8 @@ class BilinearForm:
     def __init__(self, entries):
         self.n = len(entries)
         self.entries = [list(row) for row in entries]
+        if any(len(row) != self.n for row in self.entries):
+            raise ValueError("bilinear form matrix must be square")
         for i in range(self.n):
             for j in range(i):
                 if not close(self.entries[i][j], self.entries[j][i]):

@@ -88,3 +88,22 @@ def test_traced_float_geodesic_counts_integrand_samples():
     assert tracer.stat("planewave.geodesic").calls == 1
     assert tracer.stat("planewave.integrand").calls > 0
     assert tracer.stat("planewave.quad").calls == 0
+
+
+def test_traced_check_model_keeps_validation_span_and_products(capsys):
+    """The CLI's curvature validation stays one traced span, and the
+    jacobi-tsankov scan keeps its 132 products on m14: building the operator
+    families takes no product."""
+    from jtcurv import cli
+
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(modules())
+        rc = cli.main(["check-model", "m14", "--properties", "jacobi-tsankov"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert tracer.stat("models.validate_curvature_symmetries").calls == 1
+    assert tracer.stat("models.check_property").calls == 1
+    assert tracer.stat("models.Operator.matmul").calls == 132

@@ -91,6 +91,27 @@ def test_check_model_missing_file(capsys):
     assert rc == 2
 
 
+DIM3_FORM = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("form, idx, labels, message", [
+    (DIM3_FORM, [0, 1, 0, 5], None, "outside [0, 3)"),
+    (DIM3_FORM, [0, 1, 0, -1], None, "outside [0, 3)"),
+    # the 2-step-jacobi-nilpotent witness names e2, which has no label
+    (DIM3_FORM, [0, 2, 0, 2], ["a", "b"], "2 labels for dimension 3"),
+    ([[1, 0, 0], [0, 1], [0, 0, 1]], [0, 1, 0, 1], None, "must be square"),
+])
+def test_check_model_out_of_range_input_is_usage_error(capsys, tmp_path, form,
+                                                       idx, labels, message):
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({"dim": 3, "form": form, "labels": labels,
+                             "tensor": [{"idx": idx, "val": 1}]}))
+    rc, payload, err = run(capsys, "check-model", str(p))
+    assert rc == 2
+    assert payload is None
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # symmetry
 

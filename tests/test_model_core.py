@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from jtcurv import (CurvatureTensor, Model0, Operator, build_m14,
                     check_property, invariant_spans, jacobi, jacobi_polarized,
                     skew, validate_curvature_symmetries)
+from jtcurv import models
 from jtcurv.linalg import BilinearForm, in_span
 from jtcurv.models import (M14_LABELS, PROPERTY_KINDS, canonicalize_riemann,
                            riemann_orbit)
+from jtcurv.scalars import iszero
 
 HALF = Fraction(1, 2)
 
@@ -63,7 +65,75 @@ def test_bianchi_violation_detected():
     t.set((0, 1, 2, 3), Fraction(1))  # lone component cannot satisfy Bianchi
     rep = validate_curvature_symmetries(t)
     assert not rep.holds
-    assert rep.witness and "bianchi_tuple" in rep.witness
+    assert rep.witness == {"bianchi_tuple": (0, 1, 2, 3), "residual": 1}
+    # the full scan's position of (0, 1, 2, 3) over the support {0, 1, 2, 3}
+    assert rep.stats == {"tuples_checked": ((0 * 4 + 1) * 4 + 2) * 4 + 3 + 1}
+
+
+def bianchi_full_scan(t):
+    """(holds, witness, stats) of validate_curvature_symmetries, by the
+    four-deep loop over every 4-tuple of the support, in lexicographic order,
+    stopping at the first nonzero Bianchi sum."""
+    idxs = sorted({i for idx in t.data for i in idx})
+    count = 0
+    for i, j, k, l in itertools.product(idxs, repeat=4):
+        s = t.value(i, j, k, l) + t.value(j, k, i, l) + t.value(k, i, j, l)
+        count += 1
+        if not iszero(s):
+            w = {"bianchi_tuple": (i, j, k, l), "residual": s}
+            return False, w, {"tuples_checked": count}
+    return True, None, {"tuples_checked": count}
+
+
+def _bianchi_report(t):
+    rep = validate_curvature_symmetries(t)
+    return rep.holds, rep.witness, rep.stats
+
+
+def _random_tensor(rng, n, entry):
+    """A product-model tensor (Bianchi holds) or an empty one, plus up to
+    three random components drawn by entry(rng)."""
+    t = CurvatureTensor(n)
+    if rng.random() < 0.5:
+        S = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    S[i][j] = S[j][i] = Fraction(rng.randint(-2, 2))
+        t = product_model(S, [[int(i == j) for j in range(n)] for i in range(n)]).tensor
+    for _ in range(rng.randint(0, 3)):
+        canon, _ = canonicalize_riemann(tuple(rng.randrange(n) for _ in range(4)))
+        if canon is not None:
+            t.data[canon] = entry(rng)
+    return t
+
+
+def test_bianchi_matches_full_scan(m14):
+    assert _bianchi_report(m14.tensor) == bianchi_full_scan(m14.tensor)
+    # the support of m14's tensor has 11 indices
+    assert _bianchi_report(m14.tensor)[2] == {"tuples_checked": 11 ** 4}
+    verdicts = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        t = _random_tensor(rng, rng.randint(3, 7), lambda r: Fraction(
+            r.choice([-2, -1, 1, 3]), r.randint(1, 3)))
+        got = _bianchi_report(t)
+        assert got == bianchi_full_scan(t), seed
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_bianchi_float_tensor_matches_full_scan():
+    # a float entry takes the full scan: a product model with float S holds
+    # up to round-off, and a stray float component fails
+    S = [[0.1, 0.7, 0.0], [0.7, 0.3, -1.3], [0.0, -1.3, 0.2]]
+    t = product_model(S, [[int(i == j) for j in range(3)] for i in range(3)]).tensor
+    assert _bianchi_report(t) == bianchi_full_scan(t)
+    assert _bianchi_report(t)[0]
+    for seed in range(20):
+        rng = random.Random(seed)
+        t = _random_tensor(rng, rng.randint(3, 6), lambda r: r.uniform(-2, 2))
+        assert _bianchi_report(t) == bianchi_full_scan(t), seed
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +464,58 @@ def test_product_models_match_full_scan():
             outcomes[kind].add(got[0])
     # every kind both holds and fails somewhere, so neither branch is vacuous
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+# ---------------------------------------------------------------------------
+# the operator families, built once per model
+
+
+def _assert_families_match_single_builds(m):
+    e = [m.basis_vector(i) for i in range(m.n)]
+    jpairs, jops = m.families["jacobi"]
+    spairs, sops = m.families["skew"]
+    assert jpairs == [(i, j) for i in range(m.n) for j in range(i, m.n)]
+    assert spairs == [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
+    for (i, j), op in zip(jpairs, jops):
+        ref = jacobi_polarized(m, e[i], e[j]).matrix
+        assert op.matrix == ref, ("jacobi", i, j)
+        assert [[type(v) for v in row] for row in op.matrix] == \
+            [[type(v) for v in row] for row in ref]
+    for (i, j), op in zip(spairs, sops):
+        ref = skew(m, e[i], e[j]).matrix
+        assert op.matrix == ref, ("skew", i, j)
+        assert [[type(v) for v in row] for row in op.matrix] == \
+            [[type(v) for v in row] for row in ref]
+
+
+def test_families_equal_single_builds(m14):
+    _assert_families_match_single_builds(m14)
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        S = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    S[i][j] = S[j][i] = Fraction(rng.randint(-2, 2))
+        form = [[Fraction(int(i == j)) * (1 if i < n // 2 + 1 else -1)
+                 for j in range(n)] for i in range(n)]
+        if seed == 0:  # float form entries: float raising, same summation order
+            form = [[0.3 if i == j else 0.1 for j in range(n)] for i in range(n)]
+            S[0][1] = S[1][0] = 0.7
+        _assert_families_match_single_builds(product_model(S, form))
+
+
+def test_families_are_built_once_per_model(monkeypatch):
+    calls = []
+    build = models._basis_families
+    monkeypatch.setattr(models, "_basis_families",
+                        lambda m: calls.append(m) or build(m))
+    m = build_m14()
+    first = check_property(m, "skew-tsankov")
+    again = check_property(m, "skew-tsankov")
+    check_property(m, "mixed-tsankov")
+    invariant_spans(m)
+    assert len(calls) == 1
+    assert (first.holds, first.witness, first.stats) == \
+        (again.holds, again.witness, again.stats)

@@ -205,8 +205,7 @@ def cmd_geometry(args):
         for P in pts:
             T = planewave.curvature_at(M, P)
             comps = [{"idx": list(k), "val": v} for k, v in sorted(T.items())
-                     if k == min((t, s) for t, s in
-                                 models.riemann_orbit(k))[0]]
+                     if models.canonicalize_riemann(k)[0] == k]
             out.append({"point": [scalar_to_json(c) for c in P],
                         "components": comps})
         obj["curvature"] = out

@@ -74,6 +74,11 @@ class FnExpr:
 
     @staticmethod
     def compose(outer, *inner):
+        """outer evaluated at the values of inner; outer's x_i reads inner[i-1]."""
+        k = max(outer.variables(), default=0)
+        if k > len(inner):
+            raise ValueError(f"compose: outer function reads x{k} "
+                             f"but only {len(inner)} inner arguments are given")
         return FnExpr("compose", (outer,) + tuple(inner))
 
     def _wrap(self, other):
@@ -227,10 +232,13 @@ class FnExpr:
             return True
         return any(a.has_transcendental() for a in self.args)
 
-    def _has_var(self):
+    def variables(self):
+        """The indices i of the x_i read from the evaluation point; inside a
+        compose node only the inner arguments read the point."""
         if self.op == "var":
-            return True
-        return any(a._has_var() for a in self.args)
+            return {self.index}
+        args = self.args[1:] if self.op == "compose" else self.args
+        return set().union(*(a.variables() for a in args))
 
     def is_polynomial(self):
         """True for a polynomial with exact coefficients: no exp, log, sin or
@@ -241,8 +249,8 @@ class FnExpr:
             return is_exact(self.value)
         if op in ("exp", "log", "sin", "cos"):
             return False
-        if op == "/" and self.args[1]._has_var() \
-                or op == "pow" and self.value < 0 and self.args[0]._has_var():
+        if op == "/" and self.args[1].variables() \
+                or op == "pow" and self.value < 0 and self.args[0].variables():
             return False
         return all(a.is_polynomial() for a in self.args)
 
@@ -267,7 +275,7 @@ class FnExpr:
                               value=int(obj["args"][1]))
             args = tuple(FnExpr.from_json(a) for a in obj["args"])
             if op == "compose":
-                return FnExpr("compose", args)
+                return FnExpr.compose(*args)
             if op in ("+", "-", "*", "/", "exp", "log", "sin", "cos"):
                 return FnExpr(op, args)
             raise ValueError(f"unknown op {op!r}")

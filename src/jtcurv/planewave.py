@@ -22,9 +22,24 @@ the only nonzero entries are
                                            - d_k psi_{ij,mu}),
     Gamma^{y_mu}_{x_i x_j}  = -sum_nu C^{mu nu} psi_{ij,nu},
     Gamma^{x*_k}_{x_i y_nu} = psi_{ik,nu}.
-christoffel, curvature_generic, the covariant-derivative engine and both
-geodesic paths read it; curvature_at stays closed-form on the psi partials,
-so curvature_generic is an independent check of the table.
+christoffel, the covariant-derivative engine and both geodesic paths read it.
+
+The curvature R(d_a, d_b, d_c, d_d) is held the same way, in the lazily
+built table ``PlaneWaveMetric.riemann``: riemann[key] lists terms of the same
+format, keyed by the canonical index of models.canonicalize_riemann, with
+    R_key(P) = sum coef * expr(x) * (P[y] if y is not None else 1).
+Each canonical component is written once, for i < j:
+    R(x_i, x_j, x_k, y_nu)  = -d_i psi_{jk,nu} + d_j psi_{ik,nu},
+    R(x_i, x_j, x_k, x_l)   = sum_{nu,mu} C^{nu mu} (psi_{ik,mu} psi_{jl,nu}
+                                                   - psi_{il,mu} psi_{jk,nu})
+                              + sum_nu y_nu (d_i d_k psi_{jl,nu}
+                                             + d_j d_l psi_{ik,nu}
+                                             - d_i d_l psi_{jk,nu}
+                                             - d_j d_k psi_{il,nu}),
+the second for k < l and (i, j) <= (k, l); every other component is a
+symmetry image of these or vanishes.  curvature_at, the covariant-derivative
+engine and verify_0_model read it.  curvature_generic assembles R from the
+gamma table instead (dGamma + Gamma Gamma), so it checks both tables.
 """
 
 from __future__ import annotations
@@ -52,16 +67,25 @@ class PlaneWaveMetric:
             raise ValueError("C must be b x b")
         self.psi = {}
         for (i, j), fns in psi.items():
+            name = f"psi entry {i + 1},{j + 1}"
+            if not (0 <= i < a and 0 <= j < a):
+                raise ValueError(f"{name} lies outside the x block 1..{a}")
             key = (min(i, j), max(i, j))
             fns = tuple(fns)
             if len(fns) != b:
                 raise ValueError("each psi entry must have one function per y")
+            for f in fns:
+                k = max(f.variables(), default=0)
+                if k > a:
+                    raise ValueError(f"{name} reads x{k}, outside the x block "
+                                     f"x1..x{a}")
             if key in self.psi and self.psi[key] is not fns:
                 raise ValueError(f"duplicate psi entry for {key}")
             self.psi[key] = fns
         self._cinv = None
         self._dcache = {}
         self._gamma = None
+        self._riemann = None
 
     @property
     def n(self):
@@ -100,6 +124,49 @@ class PlaneWaveMetric:
                         put(i, self.yi(nu), self.xsi(k), 1, self.psi_fn(i, k, nu))
             self._gamma = tbl
         return self._gamma
+
+    @property
+    def riemann(self):
+        """The curvature table described in the module docstring."""
+        if self._riemann is None:
+            a, b = self.a, self.b
+            tbl = {}
+
+            def put(idx, coef, expr, y=None):
+                if expr is not None and not expr.is_zero_const():
+                    key, sign = canonicalize_riemann(idx)
+                    tbl.setdefault(key, []).append((sign * coef, expr, y))
+
+            def product(f, g):
+                if f is None or g is None or f.is_zero_const() or g.is_zero_const():
+                    return None
+                return f * g
+
+            pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
+            for n, (i, j) in enumerate(pairs):
+                for k in range(a):
+                    for nu in range(b):
+                        idx = (i, j, k, self.yi(nu))
+                        put(idx, -1, self.dpsi(j, k, nu, (i,)))
+                        put(idx, 1, self.dpsi(i, k, nu, (j,)))
+                for k, l in pairs[n:]:
+                    idx = (i, j, k, l)
+                    for nu in range(b):
+                        for mu in range(b):
+                            c = self.cinv[nu][mu]
+                            if c != 0:
+                                put(idx, c, product(self.psi_fn(i, k, mu),
+                                                    self.psi_fn(j, l, nu)))
+                                put(idx, -c, product(self.psi_fn(i, l, mu),
+                                                     self.psi_fn(j, k, nu)))
+                    for nu in range(b):
+                        y = self.yi(nu)
+                        put(idx, 1, self.dpsi(j, l, nu, (i, k)), y)
+                        put(idx, 1, self.dpsi(i, k, nu, (j, l)), y)
+                        put(idx, -1, self.dpsi(j, k, nu, (i, l)), y)
+                        put(idx, -1, self.dpsi(i, l, nu, (j, k)), y)
+            self._riemann = tbl
+        return self._riemann
 
     # coordinate index helpers (0-based block layout)
     def xi(self, i):
@@ -230,9 +297,9 @@ def metric_at(M: PlaneWaveMetric, P) -> BilinearForm:
     return BilinearForm(G)
 
 
-def _gamma_at(terms, P, a, xpartials=(), dy=None):
-    """A table entry, or its partial by the x indices xpartials and by the y
-    coordinate dy, at P."""
+def _terms_at(terms, P, a, xpartials=(), dy=None):
+    """An entry of the gamma or riemann table, or its partial by the x
+    indices xpartials and by the y coordinate dy, at P."""
     x = P[:a]
     total = 0
     for coef, expr, y in terms:
@@ -259,7 +326,7 @@ def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
     comps = {}
     for (u, v), row in M.gamma.items():
         for f, terms in row.items():
-            val = _gamma_at(terms, P, M.a)
+            val = _terms_at(terms, P, M.a)
             if not iszero(val):
                 comps[(u, v, f)] = comps[(v, u, f)] = val
     if kind != "first":
@@ -274,60 +341,18 @@ def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
 
 
 # ---------------------------------------------------------------------------
-# curvature: closed form and the generic oracle
+# curvature: the riemann table and the generic oracle
 
 
 def curvature_at(M: PlaneWaveMetric, P) -> CoordTensor:
-    """R at P by the closed-form component list; full symmetric expansion."""
-    a, b = M.a, M.b
-    x = tuple(P[:a])
-    y = P[2 * a:]
-    canon = {}
-
-    def put(idx, val):
-        c, s = canonicalize_riemann(idx)
-        if c is not None and not iszero(val):
-            canon.setdefault(c, s * val)
-
-    for i in range(a):
-        for j in range(a):
-            if i == j:
-                continue
-            for k in range(a):
-                for nu in range(b):
-                    v = -M.dpsi_val(j, k, nu, (i,), x) + M.dpsi_val(i, k, nu, (j,), x)
-                    put((M.xi(i), M.xi(j), M.xi(k), M.yi(nu)), v)
-    for i in range(a):
-        for j in range(a):
-            for k in range(a):
-                for l in range(a):
-                    if i == j or k == l:
-                        continue
-                    quad = 0
-                    for nu in range(b):
-                        for mu in range(b):
-                            c = M.cinv[nu][mu]
-                            if c == 0:
-                                continue
-                            quad += c * (M.dpsi_val(i, k, mu, (), x)
-                                         * M.dpsi_val(j, l, nu, (), x)
-                                         - M.dpsi_val(i, l, mu, (), x)
-                                         * M.dpsi_val(j, k, nu, (), x))
-                    lin = 0
-                    for nu in range(b):
-                        if y[nu] == 0:
-                            continue
-                        B = M.dpsi_val(j, l, nu, (i, k), x) \
-                            + M.dpsi_val(i, k, nu, (j, l), x) \
-                            - M.dpsi_val(j, k, nu, (i, l), x) \
-                            - M.dpsi_val(i, l, nu, (j, k), x)
-                        lin += y[nu] * B
-                    put((M.xi(i), M.xi(j), M.xi(k), M.xi(l)), quad + lin)
-
+    """R at P, read from the table M.riemann; full symmetric expansion."""
+    P = tuple(P)
     comps = {}
-    for c, v in canon.items():
-        for tup, s in riemann_orbit(c):
-            comps[tup] = s * v
+    for key, terms in M.riemann.items():
+        v = _terms_at(terms, P, M.a)
+        if not iszero(v):
+            for tup, s in riemann_orbit(key):
+                comps[tup] = s * v
     return CoordTensor(M.n, (4, 0), comps)
 
 
@@ -348,18 +373,19 @@ def _gamma2_sparse(M, P):
 
     for (u, v), row in M.gamma.items():
         for f, terms in row.items():
-            add(gam, u, v, f, _gamma_at(terms, P, M.a))
+            add(gam, u, v, f, _terms_at(terms, P, M.a))
             for l in range(M.a):
-                add(dgam.setdefault(l, {}), u, v, f, _gamma_at(terms, P, M.a, (l,)))
+                add(dgam.setdefault(l, {}), u, v, f, _terms_at(terms, P, M.a, (l,)))
             for y in sorted({t[2] for t in terms if t[2] is not None}):
-                add(dgam.setdefault(y, {}), u, v, f, _gamma_at(terms, P, M.a, dy=y))
+                add(dgam.setdefault(y, {}), u, v, f, _terms_at(terms, P, M.a, dy=y))
     return gam, dgam
 
 
 def curvature_generic(M: PlaneWaveMetric, P) -> CoordTensor:
     """Curvature assembled from the Christoffel symbols and their exact
     partials: R(a,b,c,d) = sum_f g_{fd} (d_a G^f_bc - d_b G^f_ac
-    + sum_e (G^e_bc G^f_ae - G^e_ac G^f_be)).  Independent of curvature_at.
+    + sum_e (G^e_bc G^f_ae - G^e_ac G^f_be)).  It reads the gamma table only,
+    so it checks the riemann table independently.
     """
     gam, dgam = _gamma2_sparse(M, P)
     g = metric_at(M, P).entries
@@ -407,10 +433,7 @@ class _CovREngine:
     def __init__(self, M: PlaneWaveMetric, P):
         self.M = M
         self.P = tuple(P)
-        self.x = self.P[:M.a]
-        self.y = self.P[2 * M.a:]
         self.memo = {}
-        self._texpr = {}
         self._gmemo = {}
 
     def _kind(self, idx):
@@ -422,7 +445,6 @@ class _CovREngine:
         dirs are applied innermost first; partials is a multiset of
         coordinate indices of ordinary derivatives applied on top.
         """
-        M = self.M
         idx4 = tuple(idx4)
         dirs = tuple(dirs)
         partials = tuple(sorted(partials))
@@ -467,7 +489,7 @@ class _CovREngine:
                         key = (e, s, f, p1)
                         gval = self._gmemo.get(key)
                         if gval is None:
-                            gval = self._gmemo[key] = _gamma_at(terms, self.P, M.a, p1)
+                            gval = self._gmemo[key] = _terms_at(terms, self.P, M.a, p1)
                         if gval == 0:
                             continue
                         if s_pos < 4:
@@ -480,85 +502,15 @@ class _CovREngine:
                             total -= gval * tval
         return total
 
-    def _r_xxxx_exprs(self, i, j, k, l):
-        """(T1, [B_nu]) as FnExpr for R(x_i,x_j,x_k,x_l) = T1 + sum y_nu B_nu."""
-        key = (i, j, k, l)
-        got = self._texpr.get(key)
-        if got is not None:
-            return got
-        M = self.M
-        zero = FnExpr.const(0)
-        # build T1 symbolically so x partials come from exact diff
-        t1 = zero
-        for nu in range(M.b):
-            for mu in range(M.b):
-                c = M.cinv[nu][mu]
-                if c == 0:
-                    continue
-                fik, fjl = M.psi_fn(i, k, mu), M.psi_fn(j, l, nu)
-                fil, fjk = M.psi_fn(i, l, mu), M.psi_fn(j, k, nu)
-                if fik is not None and fjl is not None:
-                    t1 = t1 + FnExpr.const(c) * fik * fjl
-                if fil is not None and fjk is not None:
-                    t1 = t1 - FnExpr.const(c) * fil * fjk
-        bs = []
-        for nu in range(M.b):
-            B = zero
-            for (p, q, d) in [(j, l, (i, k)), (i, k, (j, l))]:
-                f = M.dpsi(p, q, nu, d)
-                if f is not None:
-                    B = B + f
-            for (p, q, d) in [(j, k, (i, l)), (i, l, (j, k))]:
-                f = M.dpsi(p, q, nu, d)
-                if f is not None:
-                    B = B - f
-            bs.append(B)
-        self._texpr[key] = (t1, bs)
-        return t1, bs
-
     def _r_partial(self, idx4, partials):
-        M = self.M
-        ytype = [t for t in idx4 if self._kind(t) == "y"]
-        if len(ytype) == 1:
-            if any(self._kind(p) == "y" for p in partials):
-                return Fraction(0)
-            rep = next(((tup, s) for tup, s in riemann_orbit(idx4)
-                        if self._kind(tup[3]) == "y"
-                        and all(self._kind(t) == "x" for t in tup[:3])), None)
-            if rep is None:
-                return Fraction(0)
-            (i, j, k, ynu), sign = rep
-            if i == j:
-                return Fraction(0)
-            nu = ynu - 2 * M.a
-            px = tuple(partials)
-            v = -M.dpsi_val(j, k, nu, (i,) + px, self.x) \
-                + M.dpsi_val(i, k, nu, (j,) + px, self.x)
-            return sign * v
-        # pure x indices
-        i, j, k, l = idx4
-        if i == j or k == l:
+        """partial^(partials) of R(idx4) at P, from the table M.riemann."""
+        key, sign = canonicalize_riemann(idx4)
+        terms = self.M.riemann.get(key)
+        if terms is None:
             return Fraction(0)
-        ypart = [p for p in partials if self._kind(p) == "y"]
         xpart = tuple(p for p in partials if self._kind(p) == "x")
-        t1, bs = self._r_xxxx_exprs(i, j, k, l)
-
-        def ev(f):
-            for d in xpart:
-                f = f.diff(d + 1)
-            if f.is_zero_const():
-                return Fraction(0)
-            return f.eval(self.x)
-
-        if ypart:
-            return ev(bs[ypart[0] - 2 * M.a])
-        total = ev(t1)
-        for nu in range(M.b):
-            if self.y[nu] != 0:
-                bv = ev(bs[nu])
-                if bv != 0:
-                    total += self.y[nu] * bv
-        return total
+        dy = next((p for p in partials if self._kind(p) == "y"), None)
+        return sign * _terms_at(terms, self.P, self.M.a, xpart, dy)
 
 
 def nabla_R_support(M: PlaneWaveMetric, k):

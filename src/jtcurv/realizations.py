@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .expr import FnExpr
 from .linalg import solve, transpose
-from .models import M14_LABELS, CheckReport, Model0, build_m14, riemann_orbit
-from .planewave import (PlaneWaveMetric, _CovREngine, metric_at, nabla_R_frame,
-                        nabla_R_support)
+from .models import M14_LABELS, CheckReport, build_m14
+from .planewave import (PlaneWaveMetric, _CovREngine, curvature_at, metric_at,
+                        nabla_R_frame, nabla_R_support)
 from .scalars import REL_TOL, close, iszero
 from .symmetry import pullback
 
@@ -308,7 +308,7 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
                 return CheckReport("0-model", False, witness={
                     "part": "form", "index": (M14_LABELS[u], M14_LABELS[v]),
                     "expected": want, "got": got})
-    got = pullback(_coordinate_curvature(M, P), transpose(vecs))
+    got = pullback(curvature_at(M, P).comps, transpose(vecs))
     want = dict(model.full_entries)
     # compare on the canonical indices u<v, w<z, (u,v) <= (w,z); away from
     # the nonzero ones both sides vanish, so only those need comparing, in
@@ -324,25 +324,6 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
     n_pairs = 14 * 13 // 2
     return CheckReport("0-model", True,
                        stats={"components_checked": n_pairs * (n_pairs + 1) // 2})
-
-
-def _coordinate_curvature(M: PlaneWaveMetric, P):
-    """Nonzero coordinate components R(d_a, d_b, d_c, d_d) at P, over full
-    symmetry orbits.  R vanishes on x* and on two or more y indices, so its
-    canonical components are the pure-x ones (i<j, k<l, (i,j) <= (k,l)) and
-    R(x_i, x_j, x_k, y) with i<j."""
-    eng = _CovREngine(M, P)
-    xs = range(M.a)
-    pairs = [(i, j) for i in xs for j in xs if i < j]
-    canon = [p + q for p in pairs for q in pairs if p <= q]
-    canon += [p + (k, M.yi(mu)) for p in pairs for k in xs for mu in range(M.b)]
-    comps = {}
-    for idx in canon:
-        v = eng.value(idx)
-        if v != 0:
-            for tup, s in riemann_orbit(idx):
-                comps[tup] = s * v
-    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def kernel_element(m: Model0, b, c_skew=None):
 
     The symmetric part of c and all of d are forced by <.,.>-preservation:
     d_nu^i = -sum_mu <beta_nu, beta_mu> b_i^mu and
-    c_(ij) = -1/2 sum <beta_nu, beta_mu> b_i^nu b_j^mu.
+    c_(ij) = -1/2 sum <beta_nu, beta_mu> b_i^nu b_j^mu = 1/2 sum_nu b_i^nu d_nu^j.
     """
     b = [[Fraction(x) for x in row] for row in b]
     flat = [x for row in b for x in row]
@@ -222,23 +222,17 @@ def kernel_element(m: Model0, b, c_skew=None):
     n = m.n
     T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     star = [_LAB["a1*"], _LAB["a2*"], _LAB["a3*"]]
-
-    def gbb(nu, mu):
-        return G[_BETA_IDX[nu]][_BETA_IDX[mu]]
-
+    # d[i][nu] = d_nu^i
+    d = [[-sum(G[_BETA_IDX[nu]][_BETA_IDX[mu]] * b[i][mu] for mu in range(8))
+          for nu in range(8)] for i in range(3)]
     for i in range(3):
         col = _LAB[f"a{i + 1}"]
         for nu in range(8):
             T[_BETA_IDX[nu]][col] += b[i][nu]
+            T[star[i]][_BETA_IDX[nu]] += d[i][nu]
         for j in range(3):
-            c_sym = -Fraction(1, 2) * sum(gbb(nu, mu) * b[i][nu] * b[j][mu]
-                                          for nu in range(8) for mu in range(8))
+            c_sym = Fraction(1, 2) * sum(b[i][nu] * d[j][nu] for nu in range(8))
             T[star[j]][col] += c_sym + Fraction(c_skew[i][j])
-    for nu in range(8):
-        col = _BETA_IDX[nu]
-        for i in range(3):
-            d = -sum(gbb(nu, mu) * b[i][mu] for mu in range(8))
-            T[star[i]][col] += d
     return T
 
 

@@ -1,11 +1,15 @@
 """Hand-transcribed component fixtures for the constant-coefficient
-plane-wave family, shared between the unit suite and the acceptance suite."""
+plane-wave family, shared between the unit suite and the acceptance suite,
+and reference loops for the closed-form curvature of a plane-wave metric."""
 
 from fractions import Fraction
 
 from jtcurv import realizations
-from jtcurv.models import M14_LABELS, CheckReport, riemann_orbit
-from jtcurv.planewave import _CovREngine, metric_at, nabla_R_frame
+from jtcurv.expr import FnExpr
+from jtcurv.models import (M14_LABELS, CheckReport, canonicalize_riemann,
+                           riemann_orbit)
+from jtcurv.planewave import CoordTensor, _CovREngine, metric_at, nabla_R_frame
+from jtcurv.scalars import iszero
 from jtcurv.realizations import Y_PAIRS
 from jtcurv.scalars import REL_TOL, close
 
@@ -135,3 +139,140 @@ def verify_0_model_reference(M, P, rel=REL_TOL):
                             "index": tuple(M14_LABELS[i] for i in (u, v, w, z)),
                             "expected": want, "got": got})
     return CheckReport("0-model", True, stats={"components_checked": checked})
+
+
+# ---------------------------------------------------------------------------
+# the closed-form curvature as plain loops over ordered index tuples
+
+
+def curvature_reference(M, P):
+    """R at P from the psi partials, one ordered 4-tuple at a time; the first
+    tuple of each symmetry orbit gives its value."""
+    a, b = M.a, M.b
+    x = tuple(P[:a])
+    y = P[2 * a:]
+    canon = {}
+
+    def put(idx, val):
+        c, s = canonicalize_riemann(idx)
+        if c is not None and not iszero(val):
+            canon.setdefault(c, s * val)
+
+    for i in range(a):
+        for j in range(a):
+            if i == j:
+                continue
+            for k in range(a):
+                for nu in range(b):
+                    v = -M.dpsi_val(j, k, nu, (i,), x) \
+                        + M.dpsi_val(i, k, nu, (j,), x)
+                    put((M.xi(i), M.xi(j), M.xi(k), M.yi(nu)), v)
+    for i in range(a):
+        for j in range(a):
+            for k in range(a):
+                for l in range(a):
+                    if i == j or k == l:
+                        continue
+                    quad = 0
+                    for nu in range(b):
+                        for mu in range(b):
+                            c = M.cinv[nu][mu]
+                            if c == 0:
+                                continue
+                            quad += c * (M.dpsi_val(i, k, mu, (), x)
+                                         * M.dpsi_val(j, l, nu, (), x)
+                                         - M.dpsi_val(i, l, mu, (), x)
+                                         * M.dpsi_val(j, k, nu, (), x))
+                    lin = 0
+                    for nu in range(b):
+                        if y[nu] == 0:
+                            continue
+                        B = M.dpsi_val(j, l, nu, (i, k), x) \
+                            + M.dpsi_val(i, k, nu, (j, l), x) \
+                            - M.dpsi_val(j, k, nu, (i, l), x) \
+                            - M.dpsi_val(i, l, nu, (j, k), x)
+                        lin += y[nu] * B
+                    put((M.xi(i), M.xi(j), M.xi(k), M.xi(l)), quad + lin)
+
+    comps = {}
+    for c, v in canon.items():
+        for tup, s in riemann_orbit(c):
+            comps[tup] = s * v
+    return CoordTensor(M.n, (4, 0), comps)
+
+
+def _r_xxxx_exprs(M, i, j, k, l):
+    """(T1, [B_nu]) as FnExpr for R(x_i,x_j,x_k,x_l) = T1 + sum y_nu B_nu."""
+    zero = FnExpr.const(0)
+    t1 = zero
+    for nu in range(M.b):
+        for mu in range(M.b):
+            c = M.cinv[nu][mu]
+            if c == 0:
+                continue
+            fik, fjl = M.psi_fn(i, k, mu), M.psi_fn(j, l, nu)
+            fil, fjk = M.psi_fn(i, l, mu), M.psi_fn(j, k, nu)
+            if fik is not None and fjl is not None:
+                t1 = t1 + FnExpr.const(c) * fik * fjl
+            if fil is not None and fjk is not None:
+                t1 = t1 - FnExpr.const(c) * fil * fjk
+    bs = []
+    for nu in range(M.b):
+        B = zero
+        for (p, q, d) in [(j, l, (i, k)), (i, k, (j, l))]:
+            f = M.dpsi(p, q, nu, d)
+            if f is not None:
+                B = B + f
+        for (p, q, d) in [(j, k, (i, l)), (i, l, (j, k))]:
+            f = M.dpsi(p, q, nu, d)
+            if f is not None:
+                B = B - f
+        bs.append(B)
+    return t1, bs
+
+
+def r_partial_reference(M, P, idx4, partials):
+    """partial^(partials) of R(idx4) at P from the closed form, for idx4 of
+    x type or with one y index, and partials of x type plus at most one y
+    coordinate (none when idx4 has its y index)."""
+    kind = M.coord_kind
+    x = tuple(P[:M.a])
+    y = P[2 * M.a:]
+    if sum(1 for t in tuple(idx4) + tuple(partials) if kind(t) == "y") >= 2:
+        return Fraction(0)
+    if any(kind(t) == "y" for t in idx4):
+        rep = next(((tup, s) for tup, s in riemann_orbit(idx4)
+                    if kind(tup[3]) == "y"
+                    and all(kind(t) == "x" for t in tup[:3])), None)
+        if rep is None:
+            return Fraction(0)
+        (i, j, k, ynu), sign = rep
+        if i == j:
+            return Fraction(0)
+        nu = ynu - 2 * M.a
+        px = tuple(partials)
+        return sign * (-M.dpsi_val(j, k, nu, (i,) + px, x)
+                       + M.dpsi_val(i, k, nu, (j,) + px, x))
+    i, j, k, l = idx4
+    if i == j or k == l:
+        return Fraction(0)
+    ypart = [p for p in partials if kind(p) == "y"]
+    xpart = tuple(p for p in partials if kind(p) == "x")
+    t1, bs = _r_xxxx_exprs(M, i, j, k, l)
+
+    def ev(f):
+        for d in xpart:
+            f = f.diff(d + 1)
+        if f.is_zero_const():
+            return Fraction(0)
+        return f.eval(x)
+
+    if ypart:
+        return ev(bs[ypart[0] - 2 * M.a])
+    total = ev(t1)
+    for nu in range(M.b):
+        if y[nu] != 0:
+            bv = ev(bs[nu])
+            if bv != 0:
+                total += y[nu] * bv
+    return total

@@ -363,6 +363,30 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, argv, content):
     assert err.startswith("error: malformed")
 
 
+@pytest.mark.parametrize("content, msg", [
+    ('{"a": 1, "b": 1, "C": [[1]], "psi": {"1,1": [{"var": 3}]}}',
+     "psi entry 1,1 reads x3"),
+    ('{"a": 1, "b": 1, "C": [[1]], "psi": {"2,2": [{"var": 1}]}}',
+     "psi entry 2,2 lies outside the x block"),
+    ('{"a": 2, "b": 1, "C": [[1]], "psi": {"0,3": [{"var": 1}]}}',
+     "psi entry 0,3 lies outside the x block"),
+    ('{"a": 1, "b": 1, "C": [[1]], "psi": {"1,1": '
+     '[{"op": "compose", "args": [{"var": 2}, {"var": 1}]}]}}',
+     "outer function reads x2"),
+])
+@pytest.mark.parametrize("sub", ["curvature", "geodesic", "nabla-r"])
+def test_psi_reading_outside_the_x_block_is_usage_error(capsys, tmp_path,
+                                                        content, msg, sub):
+    path = tmp_path / "metric.json"
+    path.write_text(content)
+    n = 2 * json.loads(content)["a"] + 1
+    point = json.dumps([1] * n)
+    rc, payload, err = run(capsys, "geometry", str(path), sub, "--point", point,
+                           "--velocity", point)
+    assert rc == 2
+    assert payload is None and err.startswith("error: ") and msg in err
+
+
 @pytest.mark.parametrize("value", ["5", "null", "true", "1.5"])
 @pytest.mark.parametrize("sub, flag", [("curvature", "--point"),
                                        ("geodesic", "--velocity"),

@@ -223,6 +223,20 @@ def test_expr_is_polynomial():
     assert not (0.5 * x1).is_polynomial()
 
 
+def test_expr_variables_read_compose_through_its_inner_arguments():
+    x1, x2 = FnExpr.var(1), FnExpr.var(2)
+    assert (x1 * x2.exp() + 3).variables() == {1, 2}
+    assert FnExpr.compose(x1 * x2, x2, FnExpr.const(3)).variables() == {2}
+    # dividing by a composition with constant inner arguments is polynomial
+    f = x1 / FnExpr.compose(1 + x1, FnExpr.const(2))
+    assert f.is_polynomial()
+    assert f.eval([Poly([0, 1])]) == Poly([0, Fraction(1, 3)])
+    with pytest.raises(ValueError, match="reads x2"):
+        FnExpr.compose(x2, x1)
+    with pytest.raises(ValueError, match="reads x2"):
+        FnExpr.from_json({"op": "compose", "args": [{"var": 2}, {"var": 1}]})
+
+
 def test_expr_json_roundtrip():
     x1, x2 = FnExpr.var(1), FnExpr.var(2)
     f = (x1 ** 2 * x2 - Fraction(3, 7)).exp() + x2.sin() / (x1 + 1)

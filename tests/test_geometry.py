@@ -4,6 +4,7 @@ and a Runge-Kutta integrator for geodesics."""
 
 import csv
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,16 +13,19 @@ import pytest
 from jtcurv import planewave
 from jtcurv.expr import FnExpr
 from jtcurv.linalg import BilinearForm
-from jtcurv.planewave import (CoordTensor, PlaneWaveMetric, christoffel,
-                              covariant_derivative_R, curvature_at,
+from jtcurv.models import canonicalize_riemann, riemann_orbit
+from jtcurv.planewave import (CoordTensor, PlaneWaveMetric, _CovREngine,
+                              christoffel, covariant_derivative_R, curvature_at,
                               curvature_generic, exp_inverse, geodesic,
                               geodesic_fit, geodesic_path, geodesic_residual,
                               geodesic_trace_csv, metric_at, nabla_R_component,
                               nabla_R_frame)
 from jtcurv.poly import Poly
-from jtcurv.realizations import build_M_Phi, phi_family_specialized
+from jtcurv.realizations import build_M_A, build_M_Phi, phi_family_specialized
+from jtcurv.scalars import close
 
-from conftest import rational_point
+from conftest import random_afamily, rational_point
+from helpers import curvature_reference, r_partial_reference
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +166,71 @@ def test_curvature_closed_form_equals_generic(rng):
         keys = set(T1.comps) | set(T2.comps)
         for key in keys:
             assert T1.value(*key) == T2.value(*key), key
+
+
+def riemann_support(M):
+    """One tuple per symmetry orbit that can be nonzero: the pure-x canonical
+    indices and R(x_i, x_j, x_k, y) with i < j."""
+    xs = range(M.a)
+    pairs = [(i, j) for i in xs for j in xs if i < j]
+    yield from (p + q for p in pairs for q in pairs if p <= q)
+    yield from (p + (k, M.yi(mu)) for p in pairs for k in xs for mu in range(M.b))
+
+
+def partials_upto_2(M):
+    coords = list(range(M.a)) + [M.yi(mu) for mu in range(M.b)]
+    return [()] + [(c,) for c in coords] \
+        + list(itertools.combinations_with_replacement(coords, 2))
+
+
+def assert_table_matches_reference(M, P, rng, same):
+    """curvature_at and the engine's R partials (x and y, orders 0..2, on a
+    random member of every orbit) against the closed-form reference loops."""
+    got, want = curvature_at(M, P).comps, curvature_reference(M, P).comps
+    assert set(got) == set(want)
+    assert all(same(got[k], want[k]) for k in want)
+    eng = _CovREngine(M, P)
+    for idx in riemann_support(M):
+        tup, _ = rng.choice(riemann_orbit(idx))
+        for partials in partials_upto_2(M):
+            v = eng.value(tup, (), partials)
+            w = r_partial_reference(M, P, tup, partials)
+            assert same(v, w), (tup, partials, v, w)
+
+
+def test_riemann_table_matches_the_reference_loops(rng):
+    metrics = [random_metric(rng) for _ in range(4)]
+    metrics += [build_M_A(random_afamily(rng)) for _ in range(2)]
+    for M in metrics:
+        P = rational_point(rng, M.n)
+        assert_table_matches_reference(M, P, rng, lambda u, v: u == v)
+
+
+def test_riemann_table_matches_the_reference_loops_on_m_phi(rng):
+    from test_realizations import exp_mix_phi_family, exp_phi_family
+    for fam in (exp_phi_family(), exp_mix_phi_family()):
+        M = build_M_Phi(fam)
+        for _ in range(2):
+            P = tuple(rng.uniform(-0.5, 0.5) for _ in range(M.n))
+            assert_table_matches_reference(M, P, rng,
+                                           lambda u, v: close(u, v, rel=1e-12))
+
+
+def test_riemann_table_structure(rng):
+    """The k = 0 support facts, read off the table: no key has an x* index
+    or two y indices, and y factors occur on pure-x keys only."""
+    from test_realizations import exp_mix_phi_family
+    metrics = [random_metric(rng, b=rng.randint(2, 8)) for _ in range(6)]
+    metrics += [build_M_A(random_afamily(rng)), build_M_Phi(exp_mix_phi_family())]
+    for M in metrics:
+        assert M.riemann
+        for key, terms in M.riemann.items():
+            assert canonicalize_riemann(key) == (key, 1)
+            kinds = [M.coord_kind(t) for t in key]
+            assert "x*" not in kinds
+            assert kinds.count("y") <= 1
+            if any(y is not None for _, _, y in terms):
+                assert kinds == ["x"] * 4, key
 
 
 def test_curvature_pointwise_symmetries(rng):

@@ -27,6 +27,8 @@ M14_LABELS = (
     "b1,1", "b1,2", "b2,1", "b2,2", "b3,1", "b3,2", "b4,1", "b4,2",
 )
 
+_ZERO = Fraction(0)
+
 PROPERTY_KINDS = (
     "jacobi-tsankov",
     "2-step-jacobi-nilpotent",
@@ -212,7 +214,6 @@ def validate_curvature_symmetries(tensor: CurvatureTensor) -> CheckReport:
     s = len(idxs)
     pos = {i: a for a, i in enumerate(idxs)}
     full = dict(tensor.items_full())
-    zero = Fraction(0)
     if all(map(is_exact, tensor.data.values())):
         # every term of B(i,j,k,l), i < j < k, has leading indices permuting
         # (i, j, k): other increasing tuples sum three zeros
@@ -221,8 +222,8 @@ def validate_curvature_symmetries(tensor: CurvatureTensor) -> CheckReport:
     else:
         tuples = itertools.product(idxs, repeat=4)
     for i, j, k, l in tuples:
-        r = full.get((i, j, k, l), zero) + full.get((j, k, i, l), zero) \
-            + full.get((k, i, j, l), zero)
+        r = full.get((i, j, k, l), _ZERO) + full.get((j, k, i, l), _ZERO) \
+            + full.get((k, i, j, l), _ZERO)
         if not iszero(r):
             a, b, c, d = pos[i], pos[j], pos[k], pos[l]
             return CheckReport(
@@ -272,53 +273,54 @@ def build_m14() -> Model0:
 
 
 class Operator:
-    """An n x n linear operator on the model space."""
+    """An n x n linear operator on the model space, held as a sparse map
+    {(row, col): value} in row-major order.  The map holds the entries a
+    computation touched, which may have cancelled to a zero of either scalar
+    type; every other entry is Fraction(0)."""
 
-    def __init__(self, matrix):
-        self.matrix = [list(r) for r in matrix]
-        self.n = len(matrix)
-        self._nnz = None
-        self._rows = None
-
-    @property
-    def nnz(self):
-        if self._nnz is None:
-            self._nnz = [(i, j, v) for i, row in enumerate(self.matrix)
-                         for j, v in enumerate(row) if v != 0]
-        return self._nnz
-
-    @property
-    def rows_nnz(self):
-        if self._rows is None:
-            self._rows = [[(j, v) for j, v in enumerate(row) if v != 0]
-                          for row in self.matrix]
-        return self._rows
+    def __init__(self, n, entries):
+        self.n = n
+        self.entries = dict(sorted(entries.items()))
 
     def is_zero(self):
-        return not self.nnz
+        return not any(self.entries.values())
+
+    def column(self, j):
+        return tuple(self.entries.get((i, j), _ZERO) for i in range(self.n))
+
+    def nonzero_columns(self):
+        return sorted({j for (_, j), v in self.entries.items() if v != 0})
 
     def apply(self, vec):
-        out = [Fraction(0)] * self.n
-        for i, j, v in self.nnz:
-            if vec[j] != 0:
+        out = [_ZERO] * self.n
+        for (i, j), v in self.entries.items():
+            if v != 0 and vec[j] != 0:
                 out[i] += v * vec[j]
         return tuple(out)
 
     def __matmul__(self, other):
-        out = [[Fraction(0)] * self.n for _ in range(self.n)]
-        rows_b = other.rows_nnz
-        for i, k, a in self.nnz:
-            for j, b in rows_b[k]:
-                out[i][j] += a * b
-        return Operator(out)
+        # row-major order sums each entry over ascending k, as a dense product
+        rows = {}
+        for (k, j), b in other.entries.items():
+            if b != 0:
+                rows.setdefault(k, []).append((j, b))
+        out = {}
+        for (i, k), a in self.entries.items():
+            if a != 0:
+                for j, b in rows.get(k, ()):
+                    out[i, j] = out.get((i, j), _ZERO) + a * b
+        return Operator(self.n, out)
+
+    def _entrywise(self, other, op):
+        a, b = self.entries, other.entries
+        return Operator(self.n, {key: op(a.get(key, _ZERO), b.get(key, _ZERO))
+                                 for key in a.keys() | b.keys()})
 
     def __sub__(self, other):
-        return Operator([[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.matrix, other.matrix)])
+        return self._entrywise(other, operator.sub)
 
     def __add__(self, other):
-        return Operator([[a + b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.matrix, other.matrix)])
+        return self._entrywise(other, operator.add)
 
     def commutator(self, other):
         return (self @ other) - (other @ self)
@@ -328,13 +330,13 @@ def _raised(m: Model0, cov) -> Operator:
     """Operator whose column z is the vector v with <v, e_w> = cov[z, w], for
     a dict cov of covector entries; raised in ascending (z, w)."""
     ginv = m.ginv
-    mat = [[Fraction(0)] * m.n for _ in range(m.n)]
+    out = {}
     for (z, w), c in sorted(cov.items()):
         if c != 0:
             for i, g in enumerate(ginv[w]):
                 if g != 0:
-                    mat[i][z] += g * c
-    return Operator(mat)
+                    out[i, z] = out.get((i, z), _ZERO) + g * c
+    return Operator(m.n, out)
 
 
 def jacobi(m: Model0, x) -> Operator:
@@ -390,13 +392,13 @@ def _basis_families(m: Model0):
 
 def _independence(ops):
     """indep(k): whether ops[k] lies outside the span of ops[:k], by greedy
-    sparse elimination over Operator.nnz run lazily up to the largest k asked.
+    sparse elimination on nonzero entries, run lazily up to the largest k asked.
     An operator with a float entry counts as independent and is no pivot."""
     pivots, flags = [], []
 
     def indep(k):
         while len(flags) <= k:
-            v = {(i, j): x for i, j, x in ops[len(flags)].nnz}
+            v = {key: x for key, x in ops[len(flags)].entries.items() if x != 0}
             if not all(map(is_exact, v.values())):
                 flags.append(True)
                 continue
@@ -419,14 +421,14 @@ def _independence(ops):
     return indep
 
 
-def _witness(m, kind, left, right, matrix):
-    """The first nonzero column of a nonzero residual matrix."""
-    j = min(j for row in matrix for j, v in enumerate(row) if v != 0)
+def _witness(m, kind, left, right, op):
+    """The first nonzero column of a nonzero residual operator."""
+    j = op.nonzero_columns()[0]
     return {"kind": kind,
             "left_pair": [m.label(i) for i in left],
             "right_pair": [m.label(i) for i in right],
             "vector": m.label(j),
-            "residual": [row[j] for row in matrix]}
+            "residual": list(op.column(j))}
 
 
 def _products(a, b):
@@ -486,15 +488,14 @@ def check_property(m: Model0, kind: str) -> CheckReport:
                 key = tuple(sorted(perm[:2])), tuple(sorted(perm[2:]))
                 if key not in prods:
                     prods[key] = op_of[key[0]] @ op_of[key[1]]
-                for i, j, v in prods[key].nnz:
-                    total[i, j] = total.get((i, j), 0) + v
+                for ij, v in prods[key].entries.items():
+                    if v != 0:
+                        total[ij] = total.get(ij, 0) + v
             checked += 1
             if any(total.values()):
-                res = [[total.get((i, j), Fraction(0)) for j in range(m.n)]
-                       for i in range(m.n)]
                 return CheckReport(kind, False,
-                                   _witness(m, "square-coefficient",
-                                            quad[:2], quad[2:], res),
+                                   _witness(m, "square-coefficient", quad[:2],
+                                            quad[2:], Operator(m.n, total)),
                                    {"monomials_checked": checked})
         return CheckReport(kind, True, stats={"monomials_checked": checked})
 
@@ -511,7 +512,7 @@ def check_property(m: Model0, kind: str) -> CheckReport:
                 t = rel(lops[a], rops[b])
                 if not t.is_zero():
                     return CheckReport(kind, False,
-                                       _witness(m, wkind, p, rpairs[b], t.matrix),
+                                       _witness(m, wkind, p, rpairs[b], t),
                                        {"pairs_checked": checked})
     stats = {"pairs_checked": checked}
     if size_key:
@@ -526,13 +527,8 @@ def invariant_spans(m: Model0):
     the second the span of twice-iterated images.
     """
     _, ops = m.families["jacobi"]
-    images1 = []
-    for op in ops:
-        for k in range(m.n):
-            col = tuple(op.matrix[i][k] for i in range(m.n))
-            if any(v != 0 for v in col):
-                images1.append(col)
-    v1 = row_space_basis(images1)
+    v1 = row_space_basis([op.column(j) for op in ops
+                          for j in op.nonzero_columns()])
     images2 = []
     for op in ops:
         for w in v1:

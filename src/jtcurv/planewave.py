@@ -83,7 +83,6 @@ class PlaneWaveMetric:
                 raise ValueError(f"duplicate psi entry for {key}")
             self.psi[key] = fns
         self._cinv = None
-        self._dcache = {}
         self._gamma = None
         self._riemann = None
 
@@ -206,16 +205,12 @@ class PlaneWaveMetric:
         return fns[mu] if fns else None
 
     def dpsi(self, i, j, mu, derivs=()):
-        """psi_{ij,mu} differentiated by the x indices in derivs (0-based)."""
-        key = (min(i, j), max(i, j), mu, tuple(sorted(derivs)))
-        f = self._dcache.get(key)
-        if f is None:
-            f = self.psi_fn(i, j, mu)
-            if f is None:
-                return None
+        """psi_{ij,mu} differentiated by the x indices in derivs (0-based);
+        FnExpr.diff caches each derivative on its node."""
+        f = self.psi_fn(i, j, mu)
+        if f is not None:
             for d in sorted(derivs):
                 f = f.diff(d + 1)
-            self._dcache[key] = f
         return f
 
     def dpsi_val(self, i, j, mu, derivs, x):

@@ -42,6 +42,10 @@ class PhiFamily:
                 f = phi.get((i, j))
                 if f is None:
                     raise ValueError(f"missing phi[{i},{j}]")
+                other = f.variables() - {i}
+                if other:
+                    raise ValueError(f"phi[{i},{j}] reads x{min(other)}; it "
+                                     f"must depend on x{i} only")
                 self.phi[(i, j)] = f
         self._check_reciprocal()
 

@@ -217,7 +217,11 @@ def kernel_element(m: Model0, b, c_skew=None):
         for j in range(3):
             if c_skew[i][j] != -c_skew[j][i]:
                 raise ValueError("c_skew must be antisymmetric")
+    return _kernel_matrix(m, b, c_skew)
 
+
+def _kernel_matrix(m: Model0, b, c_skew):
+    """kernel_element's T for Fraction b and c_skew, without its checks."""
     G = m.form.entries
     n = m.n
     T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -246,4 +250,4 @@ def random_kernel_element(m: Model0, rng):
     b = [flat[8 * i:8 * (i + 1)] for i in range(3)]
     s01, s02, s12 = (Fraction(rng.randint(-3, 3)) for _ in range(3))
     c_skew = [[0, s01, s02], [-s01, 0, s12], [-s02, -s12, 0]]
-    return kernel_element(m, b, c_skew)
+    return _kernel_matrix(m, b, c_skew)

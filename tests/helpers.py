@@ -141,6 +141,13 @@ def verify_0_model_reference(M, P, rel=REL_TOL):
     return CheckReport("0-model", True, stats={"components_checked": checked})
 
 
+def dense(op):
+    """The n x n matrix [row][col] of an Operator; an entry absent from its
+    map is Fraction(0)."""
+    return [[op.entries.get((i, j), Fraction(0)) for j in range(op.n)]
+            for i in range(op.n)]
+
+
 # ---------------------------------------------------------------------------
 # the closed-form curvature as plain loops over ordered index tuples
 

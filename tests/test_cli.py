@@ -387,6 +387,18 @@ def test_psi_reading_outside_the_x_block_is_usage_error(capsys, tmp_path,
     assert payload is None and err.startswith("error: ") and msg in err
 
 
+def test_phi_reading_another_coordinate_is_usage_error(capsys, tmp_path):
+    x = [None] + [FnExpr.var(i) for i in (1, 2, 3)]
+    phi = {f"{i},{j}": x[i].to_json() for i in (1, 2, 3) for j in (1, 2)}
+    phi["1,1"] = (x[1] + x[2]).to_json()
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"phi": phi}))
+    rc, payload, err = run(capsys, "geometry", "m-phi", "curvature",
+                           "--params", str(path))
+    assert rc == 2
+    assert payload is None and err.startswith("error: phi[1,1] reads x2")
+
+
 @pytest.mark.parametrize("value", ["5", "null", "true", "1.5"])
 @pytest.mark.parametrize("sub, flag", [("curvature", "--point"),
                                        ("geodesic", "--velocity"),

@@ -12,6 +12,7 @@ from jtcurv import (dilatation, is_symmetry, kernel_basis_b,
                     kernel_constraint_matrix, kernel_element,
                     random_kernel_element, rotation, swap_first_second,
                     swap_first_third, tau)
+from jtcurv import symmetry
 from jtcurv.linalg import identity, mat_mul, rank
 from jtcurv.models import M14_LABELS
 from jtcurv.symmetry import pullback_form, pullback_tensor
@@ -116,6 +117,17 @@ def test_kernel_elements_are_symmetries(m14):
         T = random_kernel_element(m14, rng)
         assert is_symmetry(m14, T).holds
         assert tau(T) == identity(3)
+
+
+def test_random_kernel_element_builds_constraints_once(m14, monkeypatch):
+    calls = []
+    build = symmetry.kernel_constraint_matrix
+    monkeypatch.setattr(symmetry, "kernel_constraint_matrix",
+                        lambda m: calls.append(m) or build(m))
+    rng = random.Random(11)
+    for k in range(1, 4):
+        random_kernel_element(m14, rng)
+        assert len(calls) == k
 
 
 def test_kernel_element_rejects_bad_b(m14):

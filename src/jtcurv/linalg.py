@@ -201,6 +201,11 @@ class BilinearForm:
                     s += ui * row[j] * vj
         return s
 
+    def scale(self, u, v):
+        """sum |u_i g_ij v_j|: the size of the terms apply(u, v) adds up."""
+        return sum(abs(ui * gij * vj) for ui, row in zip(u, self.entries)
+                   for gij, vj in zip(row, v))
+
     def signature(self):
         """(p, q) = (negative, positive) inertia via symmetric congruence.
 

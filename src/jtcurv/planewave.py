@@ -22,7 +22,7 @@ the only nonzero entries are
                                            - d_k psi_{ij,mu}),
     Gamma^{y_mu}_{x_i x_j}  = -sum_nu C^{mu nu} psi_{ij,nu},
     Gamma^{x*_k}_{x_i y_nu} = psi_{ik,nu}.
-christoffel, the covariant-derivative engine and both geodesic paths read it.
+christoffel, the nabla^k R table below and both geodesic paths read it.
 
 The curvature R(d_a, d_b, d_c, d_d) is held the same way, in the lazily
 built table ``PlaneWaveMetric.riemann``: riemann[key] lists terms of the same
@@ -37,9 +37,21 @@ Each canonical component is written once, for i < j:
                                              - d_i d_l psi_{jk,nu}
                                              - d_j d_k psi_{il,nu}),
 the second for k < l and (i, j) <= (k, l); every other component is a
-symmetry image of these or vanishes.  curvature_at, the covariant-derivative
-engine and verify_0_model read it.  curvature_generic assembles R from the
-gamma table instead (dGamma + Gamma Gamma), so it checks both tables.
+symmetry image of these or vanishes.  curvature_at, the nabla^k R table and
+verify_0_model read it.  curvature_generic assembles R from the gamma table
+instead (dGamma + Gamma Gamma), so it checks both tables.
+
+nabla^k R is a third table of that format, PlaneWaveMetric.nabla_riemann(key,
+dirs): one entry per canonical key and k directions (innermost first), each
+built on first use from order k - 1, with (nabla^k R)(idx; dirs) = sign *
+entry(key, dirs) for (key, sign) = canonicalize_riemann(idx).  Support rule
+(induction on k): an entry with an x* index or two y indices in key + dirs
+is empty, one with a y index is y-free, and every entry is affine in y.  So
+with e = dirs[-1], k = 0 is the riemann entry; e of y type keeps the terms
+carrying y_e, without that factor (its Gamma terms raise an index to x*,
+where R vanishes); e of x type takes d_e of every term and subtracts, for
+each slot s of x type, the y-free Gamma^{y_mu}_{e s} times the order k - 1
+entry with y_mu in slot s.  _CovREngine evaluates the table at a point.
 """
 
 from __future__ import annotations
@@ -85,6 +97,7 @@ class PlaneWaveMetric:
         self._cinv = None
         self._gamma = None
         self._riemann = None
+        self._nabla = {}
 
     @property
     def n(self):
@@ -166,6 +179,41 @@ class PlaneWaveMetric:
                         put(idx, -1, self.dpsi(i, l, nu, (j, k)), y)
             self._riemann = tbl
         return self._riemann
+
+    def nabla_riemann(self, key, dirs=()):
+        """The entry of the nabla^k R table (module docstring) at a canonical
+        key and directions dirs, k = len(dirs); built on first use."""
+        terms = self._nabla.get((key, dirs))
+        if terms is None:
+            terms = self._nabla[(key, dirs)] = self._nabla_entry(key, dirs)
+        return terms
+
+    def _nabla_entry(self, key, dirs):
+        kind = self.coord_kind
+        kinds = [kind(t) for t in key + dirs]
+        if "x*" in kinds or kinds.count("y") > 1:
+            return []
+        if not dirs:
+            return self.riemann.get(key, [])
+        e, rest = dirs[-1], dirs[:-1]
+        prev = self.nabla_riemann(key, rest)
+        if kind(e) == "y":
+            return [(coef, expr, None) for coef, expr, y in prev if y == e]
+        out = [(coef, d, y) for coef, expr, y in prev
+               if not (d := expr.diff(e + 1)).is_zero_const()]
+        slots = key + rest
+        for pos, s in enumerate(slots):
+            if kind(s) != "x":
+                continue
+            for f, gterms in self.gamma.get((min(e, s), max(e, s)), {}).items():
+                if kind(f) != "y":
+                    continue
+                new = slots[:pos] + (f,) + slots[pos + 1:]
+                sub, sign = canonicalize_riemann(new[:4])
+                terms = self.nabla_riemann(sub, new[4:]) if sub else []
+                out += [(-sign * gc * coef, gexpr * expr, y)
+                        for gc, gexpr, _ in gterms for coef, expr, y in terms]
+        return out
 
     # coordinate index helpers (0-based block layout)
     def xi(self, i):
@@ -293,8 +341,8 @@ def metric_at(M: PlaneWaveMetric, P) -> BilinearForm:
 
 
 def _terms_at(terms, P, a, xpartials=(), dy=None):
-    """An entry of the gamma or riemann table, or its partial by the x
-    indices xpartials and by the y coordinate dy, at P."""
+    """An entry of a term table (gamma, riemann, nabla_riemann), or its
+    partial by the x indices xpartials and by the y coordinate dy, at P."""
     x = P[:a]
     total = 0
     for coef, expr, y in terms:
@@ -304,7 +352,9 @@ def _terms_at(terms, P, a, xpartials=(), dy=None):
             expr = expr.diff(d + 1)
         if expr.is_zero_const():
             continue
-        val = coef * expr.eval(x)
+        val = expr.eval(x)
+        # Fraction * float is float(Fraction) * float, without the fallback
+        val = float(coef) * val if isinstance(val, float) else coef * val
         total += val if y is None or dy is not None else val * P[y]
     return total
 
@@ -418,94 +468,35 @@ def curvature_generic(M: PlaneWaveMetric, P) -> CoordTensor:
 
 
 class _CovREngine:
-    """Memoized evaluator of partials of (nabla^k R) components at a point.
-
-    Support rule (provable by induction on k): a component, or any of its
-    ordinary partial derivatives, vanishes unless every tensor index is of
-    x type or exactly one is of y type, counting y partials as well.
-    """
+    """Point evaluator of the nabla^k R table: value(idx4, dirs, partials) is
+    the partial by the multiset partials of (nabla^k R)(idx4; dirs) at P,
+    dirs innermost first, read off the canonical key with the sign of
+    canonicalize_riemann, memoized per point, a Fraction at an exact P."""
 
     def __init__(self, M: PlaneWaveMetric, P):
         self.M = M
         self.P = tuple(P)
         self.memo = {}
-        self._gmemo = {}
-
-    def _kind(self, idx):
-        return self.M.coord_kind(idx)
 
     def value(self, idx4, dirs=(), partials=()):
-        """partial^(partials) of (nabla^(len(dirs)) R)(idx4; dirs) at P.
-
-        dirs are applied innermost first; partials is a multiset of
-        coordinate indices of ordinary derivatives applied on top.
-        """
-        idx4 = tuple(idx4)
-        dirs = tuple(dirs)
-        partials = tuple(sorted(partials))
-        all_idx = idx4 + dirs
-        if any(self._kind(i) == "x*" for i in all_idx):
-            return Fraction(0)
-        ycount = sum(1 for i in all_idx + partials if self._kind(i) == "y")
-        if ycount >= 2:
-            return Fraction(0)
-        key = (idx4, dirs, partials)
+        key = (tuple(idx4), tuple(dirs), tuple(sorted(partials)))
         v = self.memo.get(key)
         if v is None:
-            v = self._compute(idx4, dirs, partials)
-            self.memo[key] = v
+            v = self.memo[key] = self._compute(*key)
         return v
 
     def _compute(self, idx4, dirs, partials):
-        M = self.M
-        if not dirs:
-            return self._r_partial(idx4, partials)
-        e, rest = dirs[-1], dirs[:-1]
-        total = self.value(idx4, rest, partials + (e,))
-        if self._kind(e) != "x":
-            return total
-        # Christoffel corrections: only f of y type can contribute (the
-        # tensor vanishes on x*), and Gamma^{y_mu}_{e, s} needs s of x type
-        slots = idx4 + rest
-        xpartials = [p for p in partials if self._kind(p) == "x"]
-        ypartials = [p for p in partials if self._kind(p) == "y"]
-        for s_pos, s in enumerate(slots):
-            if self._kind(s) != "x":
-                continue
-            for f, terms in M.gamma.get((min(e, s), max(e, s)), {}).items():
-                if self._kind(f) != "y":
-                    continue
-                # split the x partials between the symbol and the tensor
-                for r in range(len(xpartials) + 1):
-                    for sub in set(itertools.combinations(range(len(xpartials)), r)):
-                        p1 = tuple(xpartials[t] for t in sub)
-                        p2 = tuple(xpartials[t] for t in range(len(xpartials))
-                                   if t not in sub) + tuple(ypartials)
-                        key = (e, s, f, p1)
-                        gval = self._gmemo.get(key)
-                        if gval is None:
-                            gval = self._gmemo[key] = _terms_at(terms, self.P, M.a, p1)
-                        if gval == 0:
-                            continue
-                        if s_pos < 4:
-                            nidx = idx4[:s_pos] + (f,) + idx4[s_pos + 1:]
-                            tval = self.value(nidx, rest, tuple(p2))
-                        else:
-                            ndirs = rest[:s_pos - 4] + (f,) + rest[s_pos - 3:]
-                            tval = self.value(idx4, ndirs, tuple(p2))
-                        if tval != 0:
-                            total -= gval * tval
-        return total
-
-    def _r_partial(self, idx4, partials):
-        """partial^(partials) of R(idx4) at P, from the table M.riemann."""
-        key, sign = canonicalize_riemann(idx4)
-        terms = self.M.riemann.get(key)
-        if terms is None:
+        canon, sign = canonicalize_riemann(idx4)
+        if canon != idx4:
+            return sign * self.value(canon, dirs, partials) if canon else Fraction(0)
+        kinds = [self.M.coord_kind(p) for p in partials]
+        if "x*" in kinds or kinds.count("y") > 1:
             return Fraction(0)
-        xpart = tuple(p for p in partials if self._kind(p) == "x")
-        dy = next((p for p in partials if self._kind(p) == "y"), None)
-        return sign * _terms_at(terms, self.P, self.M.a, xpart, dy)
+        dy = partials[-1] if "y" in kinds else None
+        xs = tuple(p for p, k in zip(partials, kinds) if k == "x")
+        v = _terms_at(self.M.nabla_riemann(idx4, dirs), self.P, self.M.a, xs, dy)
+        # an empty sum is int 0, which turns into a float when divided
+        return Fraction(v) if type(v) is int else v
 
 
 def nabla_R_support(M: PlaneWaveMetric, k):

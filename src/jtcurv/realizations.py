@@ -308,7 +308,9 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
         for v in range(u, 14):
             got = g.apply(vecs[u], vecs[v])
             want = model.form.entries[u][v]
-            if not close(got, want, rel=rel):
+            # a float sum is only as accurate as the terms it adds up
+            if not close(got, want, rel=rel) and not close(
+                    got, want, rel=rel, scale=g.scale(vecs[u], vecs[v])):
                 return CheckReport("0-model", False, witness={
                     "part": "form", "index": (M14_LABELS[u], M14_LABELS[v]),
                     "expected": want, "got": got})

@@ -22,12 +22,14 @@ def is_exact(x) -> bool:
     return isinstance(x, (Fraction, int))
 
 
-def close(a, b, rel: float = REL_TOL) -> bool:
-    """Compare two scalars: exact equality for rationals, tolerant for floats."""
+def close(a, b, rel: float = REL_TOL, scale=0) -> bool:
+    """Compare two scalars: exact equality for rationals, tolerant for floats.
+    scale is the size of the terms a float was summed from, which bounds
+    its rounding error better than its value does: rel * scale is a floor."""
     if is_exact(a) and is_exact(b):
         return a == b
     a, b = float(a), float(b)
-    return abs(a - b) <= max(ABS_TOL, rel * max(abs(a), abs(b)))
+    return abs(a - b) <= max(ABS_TOL, rel * max(abs(a), abs(b), scale))
 
 
 def as_divisor(x):

@@ -7,6 +7,8 @@ import importlib.util
 import pathlib
 import types
 
+import pytest
+
 from jtcurv import models, planewave, realizations
 from jtcurv.expr import FnExpr
 
@@ -107,3 +109,23 @@ def test_traced_check_model_keeps_validation_span_and_products(capsys):
     assert tracer.stat("models.validate_curvature_symmetries").calls == 1
     assert tracer.stat("models.check_property").calls == 1
     assert tracer.stat("models.Operator.matmul").calls == 132
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 1439348317])
+def test_curvature_realization_nabla_ops_pass_their_oracles(seed, tmp_path, monkeypatch):
+    """The benchmark's nabla-r-*, symmetric-* and xi-* operations of the
+    curvature-realization workload, set up from bench/ as it stands, each
+    pass their oracle on five seeded draws and on the pass seed 1439348317.
+    There nabla^2 R of the small metric has a k = 1 component that is an
+    empty sum along x1; returned as int 0, the oracle's interpolated
+    derivative divided ints into floats and no longer matched exactly."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    ops, scans = workloads.setup_curvature_realization(modules(), seed, tmp_path)
+    picked = [op for op in ops + scans
+              if op.kind.startswith(("nabla-r-", "symmetric-", "xi-"))]
+    assert {op.kind for op in picked} == {
+        "nabla-r-k1", "nabla-r-k2", "nabla-r-k2-small", "symmetric-hand-solved",
+        "symmetric-random", "xi-frame", "xi-direct"}
+    for op in picked:
+        assert op.check(op.call()) is None, (seed, op.kind)

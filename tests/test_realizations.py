@@ -256,6 +256,20 @@ def test_verify_0_model_matches_reference_failing_float(P):
     assert_same_report(rep, verify_0_model_reference(M, P, rel=1e-17), 1e-12)
 
 
+def test_verify_0_model_float_form_at_large_coordinates():
+    """<a1,a1> sums terms of size about 1e3 here and rounds to -2.9e-11:
+    the form entries are compared against the size of their terms, so the
+    point realizes the model at the default tolerance."""
+    M = build_M_Phi(exp_phi_family())
+    P = (0.14, -0.35, 0.13, 0.37, 0.02, 0.24,
+         343, -872, 516, 182, -397, -938, 731, -55)
+    g = metric_at(M, P)
+    a1 = normalize_basis_0(M, P).vector("a1")
+    assert g.apply(a1, a1) != 0 and abs(g.apply(a1, a1)) < 1e-10
+    assert verify_0_model(M, P).holds
+    assert verify_0_model_reference(M, P).holds
+
+
 @pytest.mark.parametrize("canon", [(0, 1, 1, 7), (0, 1, 0, 1), (6, 7, 8, 9)])
 def test_verify_0_model_matches_reference_altered_model(rng, monkeypatch, canon):
     """A model with one changed component fails at the same first index."""

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from . import models, planewave, realizations, symmetry
+from .linalg import rank
 from .scalars import REL_TOL, scalar_to_json
 
 
@@ -131,9 +132,7 @@ def cmd_symmetry(args):
     obj = {"command": "symmetry"}
     checks = []
     if args.kernel_dim:
-        rows = symmetry.kernel_constraint_matrix(m)
-        from .linalg import rank
-        r = rank(rows)
+        r = rank(symmetry.kernel_constraint_matrix(m))
         dim = 24 - r + 3
         obj["constraint_rank"] = r
         obj["kernel_dimension"] = dim

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import as_divisor, close, is_exact, iszero
+from .scalars import as_divisor, close, is_exact
 
 
 class DegenerateFormError(ValueError):
@@ -46,19 +46,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_eq(A, B, rel=None):
-    if len(A) != len(B) or len(A[0]) != len(B[0]):
-        return False
-    for ra, rb in zip(A, B):
-        for a, b in zip(ra, rb):
-            if rel is None:
-                if a != b:
-                    return False
-            elif not close(a, b, rel=rel):
-                return False
-    return True
-
-
 def _pivot_ok(x):
     return (x != 0) if is_exact(x) else abs(x) > 1e-12
 
@@ -73,24 +60,6 @@ def _pivot_row(M, col, start):
         piv = max(rows, key=lambda r: abs(M[r][col]))
         return piv if _pivot_ok(M[piv][col]) else None
     return next((r for r in rows if M[r][col] != 0), None)
-
-
-def mat_inv(A):
-    """Gauss-Jordan inverse; exact for Fraction entries."""
-    n = len(A)
-    M = [list(row) + list(identity(n)[i]) for i, row in enumerate(A)]
-    for col in range(n):
-        piv = _pivot_row(M, col, col)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        p = as_divisor(M[col][col])
-        M[col] = [x / p for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
 
 
 def rref(A):
@@ -119,6 +88,15 @@ def rref(A):
     return M[:r] + [[Fraction(0)] * cols for _ in range(rows - r)], pivots
 
 
+def mat_inv(A):
+    """Gauss-Jordan inverse: the rref of [A | I]; exact for Fraction entries."""
+    n = len(A)
+    R, pivots = rref([list(row) + e for row, e in zip(A, identity(n))])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in R]
+
+
 def rank(A):
     return len(rref(A)[1])
 
@@ -129,17 +107,6 @@ def row_space_basis(vectors):
         return []
     R, pivots = rref([list(v) for v in vectors])
     return [tuple(R[i]) for i in range(len(pivots))]
-
-
-def in_span(vector, basis):
-    """True if vector lies in the span of a row-reduced basis."""
-    v = list(vector)
-    for b in basis:
-        lead = next((j for j, x in enumerate(b) if _pivot_ok(x)), None)
-        if lead is not None and v[lead] != 0:
-            f = v[lead] / as_divisor(b[lead])
-            v = [x - f * y for x, y in zip(v, b)]
-    return all(iszero(x) for x in v)
 
 
 def nullspace_basis(A):
@@ -252,7 +219,7 @@ class BilinearForm:
             raise DegenerateFormError(str(e)) from e
 
     def __eq__(self, other):
-        return isinstance(other, BilinearForm) and mat_eq(self.entries, other.entries)
+        return isinstance(other, BilinearForm) and self.entries == other.entries
 
     def __repr__(self):
         return f"BilinearForm({self.entries!r})"

@@ -489,8 +489,7 @@ def check_property(m: Model0, kind: str) -> CheckReport:
                 if key not in prods:
                     prods[key] = op_of[key[0]] @ op_of[key[1]]
                 for ij, v in prods[key].entries.items():
-                    if v != 0:
-                        total[ij] = total.get(ij, 0) + v
+                    total[ij] = total.get(ij, 0) + v
             checked += 1
             if any(total.values()):
                 return CheckReport(kind, False,

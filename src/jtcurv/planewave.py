@@ -468,33 +468,28 @@ def curvature_generic(M: PlaneWaveMetric, P) -> CoordTensor:
 
 
 class _CovREngine:
-    """Point evaluator of the nabla^k R table: value(idx4, dirs, partials) is
-    the partial by the multiset partials of (nabla^k R)(idx4; dirs) at P,
-    dirs innermost first, read off the canonical key with the sign of
-    canonicalize_riemann, memoized per point, a Fraction at an exact P."""
+    """Point evaluator of the nabla^k R table: value(idx4, dirs) is
+    (nabla^k R)(idx4; dirs) at P, dirs innermost first, read off the
+    canonical key with the sign of canonicalize_riemann, memoized per point,
+    a Fraction at an exact P."""
 
     def __init__(self, M: PlaneWaveMetric, P):
         self.M = M
         self.P = tuple(P)
         self.memo = {}
 
-    def value(self, idx4, dirs=(), partials=()):
-        key = (tuple(idx4), tuple(dirs), tuple(sorted(partials)))
+    def value(self, idx4, dirs=()):
+        key = (tuple(idx4), tuple(dirs))
         v = self.memo.get(key)
         if v is None:
             v = self.memo[key] = self._compute(*key)
         return v
 
-    def _compute(self, idx4, dirs, partials):
+    def _compute(self, idx4, dirs):
         canon, sign = canonicalize_riemann(idx4)
         if canon != idx4:
-            return sign * self.value(canon, dirs, partials) if canon else Fraction(0)
-        kinds = [self.M.coord_kind(p) for p in partials]
-        if "x*" in kinds or kinds.count("y") > 1:
-            return Fraction(0)
-        dy = partials[-1] if "y" in kinds else None
-        xs = tuple(p for p, k in zip(partials, kinds) if k == "x")
-        v = _terms_at(self.M.nabla_riemann(idx4, dirs), self.P, self.M.a, xs, dy)
+            return sign * self.value(canon, dirs) if canon else Fraction(0)
+        v = _terms_at(self.M.nabla_riemann(idx4, dirs), self.P, self.M.a)
         # an empty sum is int 0, which turns into a float when divided
         return Fraction(v) if type(v) is int else v
 

@@ -10,23 +10,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import FnExpr
+from .expr import EvalError, FnExpr
 from .linalg import solve, transpose
 from .models import M14_LABELS, CheckReport, build_m14
 from .planewave import (PlaneWaveMetric, _CovREngine, curvature_at, metric_at,
                         nabla_R_frame, nabla_R_support)
-from .scalars import REL_TOL, close, iszero
-from .symmetry import pullback
+from .scalars import REL_TOL, close, iszero, scalar_from_json, scalar_to_json
+from .symmetry import BETA_LABELS, check_pullback
 
-#: y-coordinate order: the (i,j) pair labels of the eight y's
-Y_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2))
+#: y-coordinate order: the (i,j) pair labels of the eight y's, which are
+#: the model's beta directions b_{i,j} in basis order
+Y_PAIRS = tuple((int(name[1]), int(name[3])) for name in BETA_LABELS)
 _YIDX = {p: m for m, p in enumerate(Y_PAIRS)}
+
+#: the (i, j) keys of a family: i in 1..3, j in 1..2
+_FAMILY_KEYS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2))
+
+
+def _check_family_keys(keys):
+    """ValueError on the first (i, j) key outside _FAMILY_KEYS."""
+    for key in keys:
+        if key not in _FAMILY_KEYS:
+            raise ValueError(f"unknown family key {','.join(map(str, key))}: "
+                             "keys are i,j with i in 1..3 and j in 1..2")
 
 
 def _c_block():
     """The 8x8 inner-product block of the y coordinates (model beta block)."""
     G = build_m14().form.entries
-    return [[G[6 + i][6 + j] for j in range(8)] for i in range(8)]
+    beta = [M14_LABELS.index(name) for name in BETA_LABELS]
+    return [[G[i][j] for j in beta] for i in beta]
 
 
 class PhiFamily:
@@ -36,24 +49,23 @@ class PhiFamily:
     SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1), Fraction(2))
 
     def __init__(self, phi):
+        _check_family_keys(phi)
         self.phi = {}
-        for i in (1, 2, 3):
-            for j in (1, 2):
-                f = phi.get((i, j))
-                if f is None:
-                    raise ValueError(f"missing phi[{i},{j}]")
-                other = f.variables() - {i}
-                if other:
-                    raise ValueError(f"phi[{i},{j}] reads x{min(other)}; it "
-                                     f"must depend on x{i} only")
-                self.phi[(i, j)] = f
+        for i, j in _FAMILY_KEYS:
+            f = phi.get((i, j))
+            if f is None:
+                raise ValueError(f"missing phi[{i},{j}]")
+            other = f.variables() - {i}
+            if other:
+                raise ValueError(f"phi[{i},{j}] reads x{min(other)}; it "
+                                 f"must depend on x{i} only")
+            self.phi[(i, j)] = f
         self._check_reciprocal()
 
     def __getitem__(self, ij):
         return self.phi[ij]
 
     def _check_reciprocal(self):
-        from .expr import EvalError
         for i in (1, 2, 3):
             d1 = self.phi[(i, 1)].diff(i)
             d2 = self.phi[(i, 2)].diff(i)
@@ -97,16 +109,27 @@ class AFamily:
         a = {}
         for key, v in obj["a"].items():
             i, j = (int(t) for t in key.split(","))
-            from .scalars import scalar_from_json
             a[(i, j)] = scalar_from_json(v)
-        for i in (1, 2, 3):
-            for j in (1, 2):
-                a.setdefault((i, j), Fraction(0))
+        _check_family_keys(a)
+        for key in _FAMILY_KEYS:
+            a.setdefault(key, Fraction(0))
         return AFamily(a)
 
     def to_json(self):
-        from .scalars import scalar_to_json
         return {"a": {f"{i},{j}": scalar_to_json(v) for (i, j), v in sorted(self.a.items())}}
+
+
+def _psi_rows(entries):
+    """psi from {x index pair: [(y pair, function), ...]}: one function per
+    y, the constant 0 for the y's an entry leaves out."""
+    zero = FnExpr.const(0)
+    psi = {}
+    for key, terms in entries.items():
+        fns = [zero] * 8
+        for pair, f in terms:
+            fns[_YIDX[pair]] = f
+        psi[key] = fns
+    return psi
 
 
 def build_M_Phi(phi: PhiFamily) -> PlaneWaveMetric:
@@ -114,21 +137,13 @@ def build_M_Phi(phi: PhiFamily) -> PlaneWaveMetric:
     and whose only cross terms are the two fixed y_4 couplings."""
     half = FnExpr.const(Fraction(1, 2))
     x1, x2 = FnExpr.var(1), FnExpr.var(2)
-    zero8 = [FnExpr.const(0)] * 8
-
-    def row(entries):
-        fns = list(zero8)
-        for mu, f in entries:
-            fns[mu] = f
-        return fns
-
-    psi = {
-        (0, 0): row([(_YIDX[(2, 1)], -phi[(2, 1)]), (_YIDX[(3, 1)], -phi[(3, 1)])]),
-        (1, 1): row([(_YIDX[(3, 2)], -phi[(3, 2)]), (_YIDX[(1, 2)], -phi[(1, 2)])]),
-        (2, 2): row([(_YIDX[(1, 1)], -phi[(1, 1)]), (_YIDX[(2, 2)], -phi[(2, 2)])]),
-        (1, 2): row([(_YIDX[(4, 1)], half * x1)]),
-        (0, 2): row([(_YIDX[(4, 2)], half * x2)]),
-    }
+    psi = _psi_rows({
+        (0, 0): [((2, 1), -phi[(2, 1)]), ((3, 1), -phi[(3, 1)])],
+        (1, 1): [((3, 2), -phi[(3, 2)]), ((1, 2), -phi[(1, 2)])],
+        (2, 2): [((1, 1), -phi[(1, 1)]), ((2, 2), -phi[(2, 2)])],
+        (1, 2): [((4, 1), half * x1)],
+        (0, 2): [((4, 2), half * x2)],
+    })
     M = PlaneWaveMetric(3, 8, _c_block(), psi)
     M.phi = phi
     M.family = "phi"
@@ -140,33 +155,23 @@ def build_M_A(A: AFamily) -> PlaneWaveMetric:
     the (1-a_{i,j})-weighted cross couplings."""
     half = FnExpr.const(Fraction(1, 2))
     x = [FnExpr.var(i) for i in (1, 2, 3)]
-    zero8 = [FnExpr.const(0)] * 8
 
     def c(v):
         return FnExpr.const(v)
 
-    def row(entries):
-        fns = list(zero8)
-        for mu, f in entries:
-            fns[mu] = f
-        return fns
-
-    psi = {
-        (0, 0): row([(_YIDX[(2, 1)], c(-A[(2, 1)]) * x[1]),
-                     (_YIDX[(3, 1)], c(-A[(3, 1)]) * x[2])]),
-        (1, 1): row([(_YIDX[(3, 2)], c(-A[(3, 2)]) * x[2]),
-                     (_YIDX[(1, 2)], c(-A[(1, 2)]) * x[0])]),
-        (2, 2): row([(_YIDX[(1, 1)], c(-A[(1, 1)]) * x[0]),
-                     (_YIDX[(2, 2)], c(-A[(2, 2)]) * x[1])]),
-        (0, 1): row([(_YIDX[(2, 1)], c(1 - A[(2, 1)]) * x[0]),
-                     (_YIDX[(1, 2)], c(1 - A[(1, 2)]) * x[1])]),
-        (1, 2): row([(_YIDX[(4, 1)], half * x[0]),
-                     (_YIDX[(3, 2)], c(1 - A[(3, 2)]) * x[1]),
-                     (_YIDX[(2, 2)], c(1 - A[(2, 2)]) * x[2])]),
-        (0, 2): row([(_YIDX[(4, 2)], half * x[1]),
-                     (_YIDX[(3, 1)], c(1 - A[(3, 1)]) * x[0]),
-                     (_YIDX[(1, 1)], c(1 - A[(1, 1)]) * x[2])]),
-    }
+    psi = _psi_rows({
+        (0, 0): [((2, 1), c(-A[(2, 1)]) * x[1]), ((3, 1), c(-A[(3, 1)]) * x[2])],
+        (1, 1): [((3, 2), c(-A[(3, 2)]) * x[2]), ((1, 2), c(-A[(1, 2)]) * x[0])],
+        (2, 2): [((1, 1), c(-A[(1, 1)]) * x[0]), ((2, 2), c(-A[(2, 2)]) * x[1])],
+        (0, 1): [((2, 1), c(1 - A[(2, 1)]) * x[0]),
+                 ((1, 2), c(1 - A[(1, 2)]) * x[1])],
+        (1, 2): [((4, 1), half * x[0]),
+                 ((3, 2), c(1 - A[(3, 2)]) * x[1]),
+                 ((2, 2), c(1 - A[(2, 2)]) * x[2])],
+        (0, 2): [((4, 2), half * x[1]),
+                 ((3, 1), c(1 - A[(3, 1)]) * x[0]),
+                 ((1, 1), c(1 - A[(1, 1)]) * x[2])],
+    })
     M = PlaneWaveMetric(3, 8, _c_block(), psi)
     M.afamily = A
     M.family = "a"
@@ -297,39 +302,12 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
 def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
     """Does the normalized frame at P reproduce the model's inner products
     and curvature components, all of them, to the requested precision?"""
-    model = build_m14()
     try:
         frame = normalize_basis_0(M, P)
     except (ValueError, ZeroDivisionError) as err:
         return CheckReport("0-model", False, witness={"error": str(err)})
-    g = metric_at(M, P)
-    vecs = frame.ordered()
-    for u in range(14):
-        for v in range(u, 14):
-            got = g.apply(vecs[u], vecs[v])
-            want = model.form.entries[u][v]
-            # a float sum is only as accurate as the terms it adds up
-            if not close(got, want, rel=rel) and not close(
-                    got, want, rel=rel, scale=g.scale(vecs[u], vecs[v])):
-                return CheckReport("0-model", False, witness={
-                    "part": "form", "index": (M14_LABELS[u], M14_LABELS[v]),
-                    "expected": want, "got": got})
-    got = pullback(curvature_at(M, P).comps, transpose(vecs))
-    want = dict(model.full_entries)
-    # compare on the canonical indices u<v, w<z, (u,v) <= (w,z); away from
-    # the nonzero ones both sides vanish, so only those need comparing, in
-    # index order so the witness is the first mismatch of the full scan
-    nonzero = sorted(idx for idx in set(got) | set(want)
-                     if idx[0] < idx[1] and idx[2] < idx[3] and idx[:2] <= idx[2:])
-    for idx in nonzero:
-        value, expected = got.get(idx, 0), want.get(idx, Fraction(0))
-        if not close(value, expected, rel=rel):
-            return CheckReport("0-model", False, witness={
-                "part": "tensor", "index": tuple(M14_LABELS[i] for i in idx),
-                "expected": expected, "got": value})
-    n_pairs = 14 * 13 // 2
-    return CheckReport("0-model", True,
-                       stats={"components_checked": n_pairs * (n_pairs + 1) // 2})
+    return check_pullback("0-model", build_m14(), metric_at(M, P),
+                          curvature_at(M, P).comps, transpose(frame.ordered()), rel)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .scalars import REL_TOL, as_divisor, close
 _LAB = {name: i for i, name in enumerate(M14_LABELS)}
 
 #: column order of the b-coefficient variables (the nu index of beta_nu)
-BETA_LABELS = ("b1,1", "b1,2", "b2,1", "b2,2", "b3,1", "b3,2", "b4,1", "b4,2")
+BETA_LABELS = tuple(name for name in M14_LABELS if name.startswith("b"))
 _BETA_IDX = [_LAB[b] for b in BETA_LABELS]
 
 
@@ -106,11 +106,6 @@ def dilatation(a1, a2, a3):
 # pullbacks and the symmetry test
 
 
-def pullback_form(m: Model0, T):
-    """Gram matrix of T^* <.,.>, i.e. T^t G T."""
-    return mat_mul(transpose(T), mat_mul(m.form.entries, T))
-
-
 def pullback(comps, T):
     """Nonzero components of the 4-tensor comps pulled back through T, where
     T[old][new] is the coefficient of old index `old` in new index `new`:
@@ -129,29 +124,47 @@ def pullback(comps, T):
     return cur
 
 
-def pullback_tensor(m: Model0, T):
-    """Full component dict of T^* A."""
-    return pullback(dict(m.full_entries), T)
+def check_pullback(name, m: Model0, form, comps, T,
+                   rel: float = REL_TOL) -> CheckReport:
+    """Does T carry the bilinear form `form` and the 4-tensor `comps` (a dict
+    of index 4-tuples) to m's inner product and curvature tensor?
+
+    The form is compared on T^t G T, u <= v; a float entry that fails is
+    compared again against form.scale of the two columns, the size of the
+    terms it sums, which also bounds the rounding of the product.  The
+    tensor is compared on the canonical indices u<v, w<z, (u,v) <= (w,z):
+    away from the nonzero ones both sides vanish, so only those are
+    compared, in index order, and the witness is the first mismatch of the
+    full scan."""
+    cols = transpose(T)
+    got = mat_mul(cols, mat_mul(form.entries, T))
+    want = m.form.entries
+    for u in range(m.n):
+        for v in range(u, m.n):
+            if not close(got[u][v], want[u][v], rel=rel) and not close(
+                    got[u][v], want[u][v], rel=rel,
+                    scale=form.scale(cols[u], cols[v])):
+                return CheckReport(name, False, witness={
+                    "part": "form", "index": (m.label(u), m.label(v)),
+                    "expected": want[u][v], "got": got[u][v]})
+    got = pullback(comps, T)
+    want = dict(m.full_entries)
+    canonical = sorted(idx for idx in got.keys() | want.keys()
+                       if idx[0] < idx[1] and idx[2] < idx[3] and idx[:2] <= idx[2:])
+    for idx in canonical:
+        value, expected = got.get(idx, 0), want.get(idx, Fraction(0))
+        if not close(value, expected, rel=rel):
+            return CheckReport(name, False, witness={
+                "part": "tensor", "index": tuple(m.label(i) for i in idx),
+                "expected": expected, "got": value})
+    pairs = m.n * (m.n - 1) // 2
+    return CheckReport(name, True,
+                       stats={"components_checked": pairs * (pairs + 1) // 2})
 
 
 def is_symmetry(m: Model0, T, rel: float = REL_TOL) -> CheckReport:
     """Does T preserve both the inner product and the curvature tensor?"""
-    G = m.form.entries
-    Gp = pullback_form(m, T)
-    for i in range(m.n):
-        for j in range(m.n):
-            if not close(Gp[i][j], G[i][j], rel=rel):
-                return CheckReport("symmetry", False, witness={
-                    "part": "form", "index": (m.label(i), m.label(j)),
-                    "expected": G[i][j], "got": Gp[i][j]})
-    Ap = pullback_tensor(m, T)
-    A = dict(m.full_entries)
-    for idx in set(A) | set(Ap):
-        if not close(Ap.get(idx, 0), A.get(idx, 0), rel=rel):
-            return CheckReport("symmetry", False, witness={
-                "part": "tensor", "index": [m.label(i) for i in idx],
-                "expected": A.get(idx, 0), "got": Ap.get(idx, 0)})
-    return CheckReport("symmetry", True)
+    return check_pullback("symmetry", m, m.form, dict(m.full_entries), T, rel)
 
 
 def tau(T):

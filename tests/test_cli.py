@@ -387,6 +387,21 @@ def test_psi_reading_outside_the_x_block_is_usage_error(capsys, tmp_path,
     assert payload is None and err.startswith("error: ") and msg in err
 
 
+@pytest.mark.parametrize("family, content", [
+    ("m-a", '{"a": {"1,1": "1/2", "3,3": 7, "0,1": 2}}'),
+    ("m-a", '{"a": {"4,1": 1}}'),
+    ("m-phi", '{"phi": {"1,3": {"var": 1}}}'),
+])
+def test_family_key_outside_the_family_is_usage_error(capsys, tmp_path,
+                                                      family, content):
+    path = tmp_path / "family.json"
+    path.write_text(content)
+    rc, payload, err = run(capsys, "geometry", family, "symmetric",
+                           "--params", str(path))
+    assert rc == 2
+    assert payload is None and err.startswith("error: unknown family key")
+
+
 def test_phi_reading_another_coordinate_is_usage_error(capsys, tmp_path):
     x = [None] + [FnExpr.var(i) for i in (1, 2, 3)]
     phi = {f"{i},{j}": x[i].to_json() for i in (1, 2, 3) for j in (1, 2)}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from jtcurv import scalars
 from jtcurv.expr import EvalError, FnExpr
 from jtcurv.linalg import (BilinearForm, DegenerateFormError,
-                           SingularMatrixError, identity, in_span, mat_inv,
+                           SingularMatrixError, identity, mat_inv,
                            mat_mul, nullspace_basis, rank, row_space_basis,
                            rref, solve)
 from jtcurv.poly import Poly
@@ -126,8 +126,16 @@ def test_span_helpers():
                              (Fraction(0), Fraction(1), Fraction(1)),
                              (Fraction(1), Fraction(1), Fraction(2))])
     assert len(basis) == 2
-    assert in_span((Fraction(2), Fraction(3), Fraction(5)), basis)
-    assert not in_span((Fraction(0), Fraction(0), Fraction(1)), basis)
+    assert rank(basis + [(Fraction(2), Fraction(3), Fraction(5))]) == len(basis)
+    assert rank(basis + [(Fraction(0), Fraction(0), Fraction(1))]) > len(basis)
+
+
+def test_bilinear_form_equality():
+    assert BilinearForm([]) == BilinearForm([])
+    assert BilinearForm([[1, 2], [2, 3]]) == BilinearForm([[1, 2], [2, 3]])
+    assert BilinearForm([[1]]) != BilinearForm([[2]])
+    assert BilinearForm([[1]]) != BilinearForm([[1, 0], [0, 1]])
+    assert BilinearForm([[1]]) != [[1]]
 
 
 def test_signature_of_hyperbolic_pair():

@@ -13,7 +13,7 @@ from jtcurv import (CurvatureTensor, Model0, Operator, build_m14,
                     check_property, invariant_spans, jacobi, jacobi_polarized,
                     skew, validate_curvature_symmetries)
 from jtcurv import models
-from jtcurv.linalg import BilinearForm, in_span
+from jtcurv.linalg import BilinearForm, rank
 from jtcurv.models import (M14_LABELS, PROPERTY_KINDS, canonicalize_riemann,
                            riemann_orbit)
 from jtcurv.scalars import iszero
@@ -314,6 +314,10 @@ def test_unknown_kind_rejected(m14):
 # invariant subspaces
 
 
+def in_span(v, basis):
+    return rank(list(basis) + [v]) == len(basis)
+
+
 def test_invariant_spans(m14):
     v1, v2 = invariant_spans(m14)
     assert len(v1) == 11  # span of all beta and alpha* directions
@@ -401,11 +405,8 @@ def full_scan(m, kind):
             total = Operator(n, {})
             for perm in set(itertools.permutations(quad)):
                 p, q = tuple(sorted(perm[:2])), tuple(sorted(perm[2:]))
-                # the coefficient sums nonzero product entries only, so an
-                # entry that every product left at 0.0 reads Fraction(0)
-                prod = J[p] @ J[q]
-                total = total + Operator(n, {k: v for k, v in prod.entries.items()
-                                             if v != 0})
+                # whole products: an entry that cancelled to 0.0 stays 0.0
+                total = total + J[p] @ J[q]
             if not total.is_zero():
                 w = witness("square-coefficient", quad[:2], quad[2:], total)
                 return False, w, {"monomials_checked": count}
@@ -451,6 +452,23 @@ def test_m14_failing_kinds_match_full_scan(m14, kind):
     assert repr(_report(m14, kind)) == repr(full_scan(m14, kind))
 
 
+def seeded_product_model(seed, exact):
+    """A product model on 3-6 dimensions with S entries k (exact) or 0.7 k
+    (float), k in -2..2, drawn from seed."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    density = 0.4 if seed % 2 else 0.2  # sparser S: some properties hold
+    S = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                v = rng.randint(-2, 2)
+                S[i][j] = S[j][i] = Fraction(v) if exact else 0.7 * v
+    form = [[Fraction(int(i == j)) * (1 if i < n // 2 + 1 else -1)
+             for j in range(n)] for i in range(n)]
+    return product_model(S, form)
+
+
 def test_product_models_match_full_scan():
     """Seeds 0-29 are exact models, 30-39 float ones.  Reports are compared
     by repr: == takes 0.0 for Fraction(0) and would hide a changed type."""
@@ -458,18 +476,7 @@ def test_product_models_match_full_scan():
                 for exact in (True, False)}
     for seed in range(40):
         exact = seed < 30
-        rng = random.Random(seed)
-        n = rng.randint(3, 6)
-        density = 0.4 if seed % 2 else 0.2  # sparser S: some properties hold
-        S = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                if rng.random() < density:
-                    v = rng.randint(-2, 2)
-                    S[i][j] = S[j][i] = Fraction(v) if exact else 0.7 * v
-        form = [[Fraction(int(i == j)) * (1 if i < n // 2 + 1 else -1)
-                 for j in range(n)] for i in range(n)]
-        m = product_model(S, form)
+        m = seeded_product_model(seed, exact)
         for kind in PROPERTY_KINDS:
             got = _report(m, kind)
             assert repr(got) == repr(full_scan(m, kind)), (seed, kind)
@@ -477,6 +484,18 @@ def test_product_models_match_full_scan():
     # every kind both holds and fails on exact and on float models, so no
     # branch is vacuous
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("seed", [45, 57])
+def test_square_zero_float_witness_keeps_cancelled_entries(seed):
+    """On these float models a residual entry of the jacobi-square-zero
+    witness cancels to 0.0: it reads 0.0, as in the pair kinds, not
+    Fraction(0)."""
+    m = seeded_product_model(seed, exact=False)
+    got = _report(m, "jacobi-square-zero")
+    assert repr(got) == repr(full_scan(m, "jacobi-square-zero"))
+    residual = got[1]["residual"]
+    assert any(type(v) is float and v == 0 for v in residual), residual
 
 
 # ---------------------------------------------------------------------------

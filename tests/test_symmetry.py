@@ -13,9 +13,9 @@ from jtcurv import (dilatation, is_symmetry, kernel_basis_b,
                     random_kernel_element, rotation, swap_first_second,
                     swap_first_third, tau)
 from jtcurv import symmetry
-from jtcurv.linalg import identity, mat_mul, rank
+from jtcurv.linalg import identity, mat_mul, rank, transpose
 from jtcurv.models import M14_LABELS
-from jtcurv.symmetry import pullback_form, pullback_tensor
+from jtcurv.symmetry import pullback
 
 
 def det3(T):
@@ -80,7 +80,10 @@ def test_tensor_witness_when_form_preserved(m14):
     T[i][j] = T[j][i] = Fraction(1)
     rep = is_symmetry(m14, T)
     assert not rep.holds
-    assert rep.witness["part"] == "tensor"
+    # the first canonical index, in sorted order, whose component moved
+    assert rep.witness == {"part": "tensor", "index": ("a1", "a2", "a3", "b4,1"),
+                           "expected": Fraction(-1, 2), "got": Fraction(1, 2)}
+    assert rep.stats == {}
 
 
 def test_composition_closure(m14):
@@ -93,8 +96,33 @@ def test_composition_closure(m14):
 
 def test_pullback_identity(m14):
     T = identity(14)
-    assert pullback_form(m14, T) == m14.form.entries
-    assert pullback_tensor(m14, T) == dict(m14.full_entries)
+    G = m14.form.entries
+    assert mat_mul(transpose(T), mat_mul(G, T)) == G
+    assert pullback(dict(m14.full_entries), T) == dict(m14.full_entries)
+
+
+def test_symmetry_counts_the_canonical_components(m14):
+    # p = 14 * 13 / 2 index pairs, p (p + 1) / 2 canonical components
+    assert is_symmetry(m14, identity(14)).stats == {"components_checked": 4186}
+
+
+def test_float_symmetry_compares_form_against_its_terms(m14):
+    """A float kernel element with b of size about 400: its inner products
+    sum terms of size about 1e5 and round to about 1e-11 off the model's
+    values, beyond the absolute floor of close().  Each is compared against
+    the size of the terms it sums, so rounding alone does not reject T."""
+    rng = random.Random(0)
+    flat = [Fraction(0)] * 24
+    for v in kernel_basis_b(m14):
+        c = Fraction(rng.randint(-3, 3) * 1000, 7)
+        flat = [x + c * y for x, y in zip(flat, v)]
+    T = kernel_element(m14, [flat[8 * i:8 * (i + 1)] for i in range(3)])
+    T = [[float(x) for x in row] for row in T]
+    G = m14.form.entries
+    Gp = mat_mul(transpose(T), mat_mul(G, T))
+    assert any(abs(Gp[u][v] - G[u][v]) > 1e-12
+               for u in range(14) for v in range(u, 14))
+    assert is_symmetry(m14, T).holds
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,8 @@ from .expr import FnExpr
 from .linalg import BilinearForm, mat_inv
 from .models import canonicalize_riemann, riemann_orbit
 from .poly import Poly
-from .scalars import close, is_exact, iszero, scalar_from_json, scalar_to_json
+from .scalars import (close, is_exact, iszero, pair_keys, scalar_from_json,
+                      scalar_to_json)
 
 
 class PlaneWaveMetric:
@@ -281,10 +282,8 @@ class PlaneWaveMetric:
     @staticmethod
     def from_json(obj):
         C = [[scalar_from_json(x) for x in row] for row in obj["C"]]
-        psi = {}
-        for key, fns in obj.get("psi", {}).items():
-            i, j = (int(t) - 1 for t in key.split(","))
-            psi[(i, j)] = [FnExpr.from_json(f) for f in fns]
+        psi = {(i - 1, j - 1): [FnExpr.from_json(f) for f in fns]
+               for (i, j), fns in pair_keys(obj.get("psi", {})).items()}
         return PlaneWaveMetric(int(obj["a"]), int(obj["b"]), C, psi)
 
 
@@ -582,8 +581,13 @@ class _Geodesic:
     """Cascade-integrated geodesic through P with initial velocity v.
 
     x is affine in t; y'' and then x*'' are the Christoffel table contracted
-    once with the x velocities, which stay constant.  "exact-poly" evaluates
-    those terms at Poly arguments and integrates with Poly.integrate.
+    once with the x velocities, which stay constant.  y'' reads x only, so
+    its fit does not depend on the initial y velocities: the y stage fits
+    y'' once and integrates it twice with the current y velocities, and
+    exp_inverse changes those (_restart_y) and integrates again without a
+    second fit.  x*'' reads y and y' and is fitted last.  The stages are
+    built on first use.  "exact-poly" evaluates the terms at Poly arguments
+    and integrates with Poly.integrate.
 
     "adaptive" (floats) builds Chebyshev series on one interval [lo, hi]
     holding 0 and every parameter asked for so far.  y'' (_F) is sampled at
@@ -603,15 +607,14 @@ class _Geodesic:
         self.P = tuple(P)
         self.v = tuple(v)
         self.quadrature = _resolve_quadrature(M, self.P + self.v, quadrature)
+        self.exact = self.quadrature == "exact-poly"
         self.fit = {}
-        if self.quadrature == "exact-poly":
-            self._contract(self.v)
-            self._build_exact()
-        else:
+        # y'' fit; y positions (and float velocities); x* stage built
+        self.span = self._yfit = self._ypos = self.polys = self._xpos = None
+        if not self.exact:
             self.Pf = tuple(float(c) for c in self.P)
             self.vf = tuple(float(c) for c in self.v)
-            self._contract(self.vf)
-            self.span = None
+        self._contract(self.v if self.exact else self.vf)
 
     def _contract(self, v):
         """Contract the table with v once: terms[f][(y, ydot)] lists (c, expr)
@@ -642,19 +645,95 @@ class _Geodesic:
             total = total + s
         return total
 
-    # ---- exact polynomial mode ----
-    def _build_exact(self):
+    def _restart_y(self, v):
+        """Start with the velocity v instead, which differs from the old one
+        in its y entries only: the fit of y'' (it reads x only) is kept, what
+        the old y velocities gave is dropped."""
+        self.v = tuple(v)
+        if not self.exact:
+            self.vf = tuple(float(c) for c in v)
+        self._ypos = self.polys = self._xpos = None
+
+    def _y_at(self, t):
+        """The y coordinates at t, from the y stage alone."""
+        self._cover((t,), xstar=False)
+        if self.exact:
+            return [self._ypos[self.M.yi(mu)].eval(t) for mu in range(self.M.b)]
+        return self._series_at(float(t), self._ypos)[0]
+
+    def _cover(self, ts, xstar=True):
+        """Check that every t in ts is finite and build what is missing of the
+        y stage and, with xstar, of the x* stage.  In float mode the series
+        cover 0, every t in ts and the interval they already cover, and are
+        rebuilt on the hull if a t falls outside."""
+        if not all(is_exact(t) or math.isfinite(t) for t in ts):
+            raise ValueError(f"geodesic parameters must be finite, got {list(ts)}")
+        if not self.exact:
+            ts = [float(t) for t in ts]
+            lo, hi = min(ts + [0.0]), max(ts + [0.0])
+            if self.span is None or not (self.span[0] <= lo and hi <= self.span[1]):
+                if self.span is not None:
+                    lo, hi = min(lo, self.span[0]), max(hi, self.span[1])
+                self.span = (lo, lo + 1.0 if lo == hi else hi)
+                self._yfit = self._ypos = self._xpos = None
+        if self._yfit is None:
+            self._yfit = self._fit_y()
+        if self._ypos is None:
+            self._integrate_y()
+        if xstar and (self.polys if self.exact else self._xpos) is None:
+            self._fit_xstar()
+
+    # ---- the two stages, exact (Poly) or float (Chebyshev series) ----
+    def _fit_y(self):
+        """y'' of every y coordinate: exact, integrated twice from 0 with zero
+        start ({f: Poly}); float, its Chebyshev coefficients, degree and tail."""
+        M = self.M
+        ys = [M.yi(mu) for mu in range(M.b)]
+        if self.exact:
+            xpol = [Poly([self.P[c], self.v[c]]) for c in range(M.a)]
+            return {f: (Poly() + self._accel(f, xpol)).integrate().integrate()
+                    for f in ys}
+        return self._chebfit(lambda s: [self._F(f, s) for f in ys], len(ys))
+
+    def _integrate_y(self):
+        """y (and in float mode y') from the y'' fit and the current y
+        velocities."""
+        if self.exact:
+            self._ypos = {f: Poly([self.P[f], self.v[f]]) + twice
+                          for f, twice in self._yfit.items()}
+        else:
+            ys = [self.M.yi(mu) for mu in range(self.M.b)]
+            self._ypos, self._yvel = self._integrate(self._yfit[0], ys)
+
+    def _fit_xstar(self):
+        """Fit x*'' on the y stage and integrate it twice."""
         M, P, v = self.M, self.P, self.v
-        polys = [Poly([P[c], v[c]]) for c in range(M.n)]
-        xpol = polys[:M.a]
-        ys = range(2 * M.a, M.n)
-        for f in ys:
-            polys[f] += (Poly() + self._accel(f, xpol)).integrate().integrate()
-        ydot = {f: polys[f].deriv() for f in ys}
-        for f in range(M.a, 2 * M.a):
-            acc = Poly() + self._accel(f, xpol, polys.__getitem__, ydot.__getitem__)
-            polys[f] += acc.integrate().integrate()
-        self.polys = polys
+        xs = [M.xsi(k) for k in range(M.a)]
+        if self.exact:
+            polys = [Poly([P[c], v[c]]) for c in range(M.n)]
+            for f, p in self._ypos.items():
+                polys[f] = p
+            xpol = polys[:M.a]
+            ydot = {f: p.deriv() for f, p in self._ypos.items()}
+            for f in xs:
+                acc = Poly() + self._accel(f, xpol, polys.__getitem__, ydot.__getitem__)
+                polys[f] += acc.integrate().integrate()
+            self.polys = polys
+            return
+
+        def g_row(s):
+            pos, vel = self._y_state(s)
+            return [self._G(f, s, pos, vel) for f in xs]
+
+        coef, xdeg, xtail = self._chebfit(g_row, len(xs))
+        self._xpos, self._xvel = self._integrate(coef, xs)
+        _, ydeg, ytail = self._yfit
+        self.fit = {"cheb_degree": max(ydeg, xdeg), "cheb_tail": max(ytail, xtail)}
+        if not self.converged:
+            lo, hi = self.span
+            warnings.warn(f"geodesic Chebyshev fit on [{lo}, {hi}] stopped at "
+                          f"degree {_CHEB_CAP} with relative tail "
+                          f"{self.fit['cheb_tail']:.3g}", RuntimeWarning)
 
     # ---- float mode: Chebyshev series on one interval ----
     def _x_at(self, t):
@@ -675,57 +754,18 @@ class _Geodesic:
         """False once a float fit has stopped at _CHEB_CAP above _CHEB_TOL."""
         return self.fit.get("cheb_tail", 0.0) <= _CHEB_TOL
 
-    def _cover(self, ts):
-        """Check that every t in ts is finite; in float mode, make the series
-        cover 0, every t in ts and the interval they already cover, rebuilding
-        them on the hull if a t falls outside."""
-        if not all(is_exact(t) or math.isfinite(t) for t in ts):
-            raise ValueError(f"geodesic parameters must be finite, got {list(ts)}")
-        if self.quadrature == "exact-poly":
-            return
-        ts = [float(t) for t in ts]
-        lo, hi = min(ts + [0.0]), max(ts + [0.0])
-        if self.span is not None:
-            if self.span[0] <= lo and hi <= self.span[1]:
-                return
-            lo, hi = min(lo, self.span[0]), max(hi, self.span[1])
-        if lo == hi:
-            hi = lo + 1.0
-        self._build_float(lo, hi)
-
-    def _build_float(self, lo, hi):
-        M = self.M
-        self.span = (lo, hi)
-        ys = [M.yi(mu) for mu in range(M.b)]
-        xs = [M.xsi(k) for k in range(M.a)]
-        self._ypos, self._yvel, ydeg, ytail = self._stage(
-            lambda s: [self._F(f, s) for f in ys], ys)
-
-        def g_row(s):
-            pos, vel = self._y_state(s)
-            return [self._G(f, s, pos, vel) for f in xs]
-
-        self._xpos, self._xvel, xdeg, xtail = self._stage(g_row, xs)
-        self.fit = {"cheb_degree": max(ydeg, xdeg), "cheb_tail": max(ytail, xtail)}
-        if not self.converged:
-            warnings.warn(f"geodesic Chebyshev fit on [{lo}, {hi}] stopped at "
-                          f"degree {_CHEB_CAP} with relative tail "
-                          f"{self.fit['cheb_tail']:.3g}", RuntimeWarning)
-
-    def _stage(self, sample, coords):
-        """Fit the accelerations sample(s) of coords (one row per node) on
-        self.span and integrate twice from 0.  Returns the coefficient arrays
-        of the positions and velocities (one column per coordinate), the
-        degree and the relative tail."""
+    def _chebfit(self, sample, width):
+        """Chebyshev coefficients on self.span of the accelerations sample(s)
+        (one row of `width` values per node), the degree and the relative
+        tail."""
         # numpy loads with the first float geodesic, not with the package
         import numpy as np
-        from numpy.polynomial import chebyshev as C
         lo, hi = self.span
         mid, half = (lo + hi) / 2, (hi - lo) / 2
 
         def rows(n, js):
             out = [sample(mid + half * math.cos(math.pi * j / n)) for j in js]
-            return np.array(out, dtype=float).reshape(len(js), len(coords))
+            return np.array(out, dtype=float).reshape(len(js), width)
 
         n = _CHEB_START
         vals = rows(n, range(n + 1))
@@ -742,18 +782,26 @@ class _Geodesic:
             tail = np.abs(coef[-_CHEB_TAIL:]).max(initial=0.0)
             rel = float(tail / scale) if scale else 0.0
             if rel <= _CHEB_TOL or n >= _CHEB_CAP:
-                break
+                return coef, n, rel
             n *= 2
             grown = np.empty((n + 1, vals.shape[1]))
             grown[0::2] = vals
             grown[1::2] = rows(n, range(1, n, 2))
             vals = grown
+
+    def _integrate(self, coef, coords):
+        """Integrate the acceleration series coef of coords twice from 0 on
+        self.span, starting at P with velocity v: the coefficient arrays of
+        the positions and velocities (one column per coordinate)."""
+        from numpy.polynomial import chebyshev as C
+        lo, hi = self.span
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
         u0 = -mid / half
         vel = C.chebint(coef, lbnd=u0, scl=half)
         vel[0] += [self.vf[c] for c in coords]
         pos = C.chebint(vel, lbnd=u0, scl=half)
         pos[0] += [self.Pf[c] for c in coords]
-        return pos, vel, n, rel
+        return pos, vel
 
     def _series_at(self, t, *series):
         from numpy.polynomial.chebyshev import chebval
@@ -769,7 +817,7 @@ class _Geodesic:
                 dict(enumerate(yvel, base)).__getitem__)
 
     def at(self, t):
-        if self.quadrature == "exact-poly":
+        if self.exact:
             self._cover((t,))
             return tuple(p.eval(t if is_exact(t) else float(t)) for p in self.polys)
         t = float(t)
@@ -780,7 +828,7 @@ class _Geodesic:
         return self._x_at(t) + tuple(xs) + tuple(ys)
 
     def velocity(self, t):
-        if self.quadrature == "exact-poly":
+        if self.exact:
             self._cover((t,))
             return tuple(p.deriv().eval(t if is_exact(t) else float(t))
                          for p in self.polys)
@@ -794,7 +842,7 @@ class _Geodesic:
     def acceleration(self, t):
         M = self.M
         a, b = M.a, M.b
-        if self.quadrature == "exact-poly":
+        if self.exact:
             self._cover((t,))
             return tuple(p.deriv().deriv().eval(t if is_exact(t) else float(t))
                          for p in self.polys)
@@ -853,13 +901,14 @@ def exp_inverse(M: PlaneWaveMetric, P, Q, quadrature="auto"):
     v = [0] * M.n
     for i in range(a):
         v[i] = Q[i] - P[i]
-    # y displacement depends on v_x only, x* displacement on (v_x, v_y) only
-    probe = _Geodesic(M, P, v, quadrature)
-    reached = probe.at(1)
+    # y'' reads only the x velocities: fit it once, solve the y velocities,
+    # then fit x*'' with them
+    g = _Geodesic(M, P, v, quadrature)
+    reached = g._y_at(1)
     for mu in range(b):
-        v[M.yi(mu)] = Q[M.yi(mu)] - reached[M.yi(mu)]
-    probe = _Geodesic(M, P, v, quadrature)
-    reached = probe.at(1)
+        v[M.yi(mu)] = Q[M.yi(mu)] - reached[mu]
+    g._restart_y(v)
+    reached = g.at(1)
     for k in range(a):
         v[M.xsi(k)] = Q[M.xsi(k)] - reached[M.xsi(k)]
     return tuple(v)

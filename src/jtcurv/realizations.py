@@ -15,7 +15,8 @@ from .linalg import solve, transpose
 from .models import M14_LABELS, CheckReport, build_m14
 from .planewave import (PlaneWaveMetric, _CovREngine, curvature_at, metric_at,
                         nabla_R_frame, nabla_R_support)
-from .scalars import REL_TOL, close, iszero, scalar_from_json, scalar_to_json
+from .scalars import (REL_TOL, close, iszero, pair_keys, scalar_from_json,
+                      scalar_to_json)
 from .symmetry import BETA_LABELS, check_pullback
 
 #: y-coordinate order: the (i,j) pair labels of the eight y's, which are
@@ -85,11 +86,8 @@ class PhiFamily:
 
     @staticmethod
     def from_json(obj):
-        phi = {}
-        for key, fn in obj["phi"].items():
-            i, j = (int(t) for t in key.split(","))
-            phi[(i, j)] = FnExpr.from_json(fn)
-        return PhiFamily(phi)
+        return PhiFamily({ij: FnExpr.from_json(fn)
+                          for ij, fn in pair_keys(obj["phi"]).items()})
 
     def to_json(self):
         return {"phi": {f"{i},{j}": f.to_json() for (i, j), f in sorted(self.phi.items())}}
@@ -106,10 +104,7 @@ class AFamily:
 
     @staticmethod
     def from_json(obj):
-        a = {}
-        for key, v in obj["a"].items():
-            i, j = (int(t) for t in key.split(","))
-            a[(i, j)] = scalar_from_json(v)
+        a = {ij: scalar_from_json(v) for ij, v in pair_keys(obj["a"]).items()}
         _check_family_keys(a)
         for key in _FAMILY_KEYS:
             a.setdefault(key, Fraction(0))

@@ -64,3 +64,17 @@ def scalar_from_json(obj):
     if isinstance(obj, str):
         return Fraction(obj)
     raise TypeError(f"cannot parse scalar from {obj!r}")
+
+
+def pair_keys(obj):
+    """{(i, j): value} from a JSON object keyed "i,j"; ValueError when two
+    keys name the same pair (say "1,2" and "01,2"), so none is dropped."""
+    out, seen = {}, {}
+    for key, value in obj.items():
+        i, j = (int(t) for t in key.split(","))
+        if (i, j) in seen:
+            raise ValueError(f"keys {seen[i, j]!r} and {key!r} both name "
+                             f"the pair {i},{j}")
+        seen[i, j] = key
+        out[i, j] = value
+    return out

@@ -4,13 +4,24 @@ restriction homomorphism tau, and the 21-parameter kernel of tau.
 
 Matrices act on column vectors; column j of T holds the image of basis
 vector e_j.
+
+T is a symmetry when it carries the inner product and the curvature tensor
+to themselves: T^t G T = G, and A(T e_u, T e_v, T e_w, T e_z) = A(u,v,w,z)
+on the canonical indices u<v, w<z, (u,v) <= (w,z).  The tensor side is a
+congruence on the exterior square (see pullback): A is antisymmetric within
+each index pair, so with W[(i,j)][(u,v)] = T_iu T_jv - T_ju T_iv for pairs
+i<j, u<v,
+
+    A'(uv, wz) = sum over pairs p, q of W[p][uv] A(p, q) W[q][wz],
+
+and only those canonical components of A' are formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import mat_mul, nullspace_basis, transpose
+from .linalg import nullspace_basis, transpose
 from .models import M14_LABELS, CheckReport, Model0
 from .scalars import REL_TOL, as_divisor, close
 
@@ -107,21 +118,55 @@ def dilatation(a1, a2, a3):
 
 
 def pullback(comps, T):
-    """Nonzero components of the 4-tensor comps pulled back through T, where
-    T[old][new] is the coefficient of old index `old` in new index `new`:
-    sum over old indices of comps[old] * prod_s T[old_s][new_s], contracted
-    one slot at a time.  comps maps index 4-tuples to values."""
-    rows = [[(i, t) for i, t in enumerate(row) if t != 0] for row in T]
-    cur = comps
-    for slot in range(4):
-        nxt = {}
-        for idx, v in cur.items():
-            head, tail = idx[:slot], idx[slot + 1:]
-            for i, t in rows[idx[slot]]:
-                nidx = head + (i,) + tail
-                nxt[nidx] = nxt.get(nidx, 0) + v * t
-        cur = {k: v for k, v in nxt.items() if v != 0}
-    return cur
+    """Canonical components of the 4-tensor comps pulled back through T, where
+    T[old][new] is the coefficient of old index `old` in new index `new`.
+
+    comps maps index 4-tuples to values and must be antisymmetric within
+    each index pair, A(j,i,k,l) = -A(i,j,k,l) = A(i,j,l,k); only its entries
+    with i<j, k<l are read.  The pull-back is then a congruence on the
+    exterior square: with W[(i,j)][(u,v)] = T_iu T_jv - T_ju T_iv,
+
+        A'(uv, wz) = sum over pairs p, q of W[p][uv] A(p, q) W[q][wz],
+
+    contracted one pair at a time.  Only the pairs that occur in comps get a
+    W row.  The result holds the nonzero A'(u,v,w,z) on the canonical
+    indices u<v, w<z, (u,v) <= (w,z) and nothing else."""
+    rows = [[(i, t) for i, t in enumerate(row) if t] for row in T]
+    wedge = {}
+
+    def w_row(pair):
+        if pair not in wedge:
+            i, j = pair
+            acc = {}
+            for u, a in rows[i]:
+                for v, b in rows[j]:
+                    if u < v:
+                        _add(acc, (u, v), a * b)
+                    elif v < u:
+                        _add(acc, (v, u), -(a * b))
+            wedge[pair] = [(uv, x) for uv, x in acc.items() if x]
+        return wedge[pair]
+
+    # half[p][wz] = sum over q of A(p, q) W[q][wz]
+    half = {}
+    for (i, j, k, l), a in comps.items():
+        if i < j and k < l:
+            row = half.setdefault((i, j), {})
+            for wz, x in w_row((k, l)):
+                _add(row, wz, a * x)
+    out = {}
+    for p, row in half.items():
+        for uv, x in w_row(p):
+            for wz, h in row.items():
+                if uv <= wz:
+                    _add(out, uv + wz, x * h)
+    return {idx: v for idx, v in out.items() if v}
+
+
+def _add(acc, key, x):
+    """acc[key] += x, the first term stored as it is: adding it to 0 would
+    cost a Fraction addition and change no nonzero sum."""
+    acc[key] = acc[key] + x if key in acc else x
 
 
 def check_pullback(name, m: Model0, form, comps, T,
@@ -129,29 +174,46 @@ def check_pullback(name, m: Model0, form, comps, T,
     """Does T carry the bilinear form `form` and the 4-tensor `comps` (a dict
     of index 4-tuples) to m's inner product and curvature tensor?
 
-    The form is compared on T^t G T, u <= v; a float entry that fails is
+    The form is compared on T^t G T, u <= v, which is all that is formed
+    (its terms summed in mat_mul's order); a float entry that fails is
     compared again against form.scale of the two columns, the size of the
     terms it sums, which also bounds the rounding of the product.  The
-    tensor is compared on the canonical indices u<v, w<z, (u,v) <= (w,z):
+    tensor is compared on the canonical indices u<v, w<z, (u,v) <= (w,z),
+    where pullback(comps, T) and m.tensor.data both hold their components:
     away from the nonzero ones both sides vanish, so only those are
     compared, in index order, and the witness is the first mismatch of the
     full scan."""
+    # the rows of G T, then those of T^t (G T) on v >= u, each entry summed
+    # over the nonzero terms in mat_mul's order
+    rows = [[(v, t) for v, t in enumerate(row) if t] for row in T]
+    gt = []
+    for grow in form.entries:
+        acc = {}
+        for j, g in enumerate(grow):
+            if g:
+                for v, t in rows[j]:
+                    _add(acc, v, g * t)
+        gt.append([(v, x) for v, x in acc.items() if x])
     cols = transpose(T)
-    got = mat_mul(cols, mat_mul(form.entries, T))
     want = m.form.entries
     for u in range(m.n):
+        got = {}
+        for k, a in enumerate(cols[u]):
+            if a:
+                for v, x in gt[k]:
+                    if v >= u:
+                        _add(got, v, a * x)
         for v in range(u, m.n):
-            if not close(got[u][v], want[u][v], rel=rel) and not close(
-                    got[u][v], want[u][v], rel=rel,
-                    scale=form.scale(cols[u], cols[v])):
+            value = got.get(v, 0)
+            if not close(value, want[u][v], rel=rel) and not close(
+                    value, want[u][v], rel=rel, scale=form.scale(cols[u], cols[v])):
+                # Fraction(0) + value is the entry mat_mul(T^t, G T) gives
                 return CheckReport(name, False, witness={
                     "part": "form", "index": (m.label(u), m.label(v)),
-                    "expected": want[u][v], "got": got[u][v]})
+                    "expected": want[u][v], "got": Fraction(0) + value})
     got = pullback(comps, T)
-    want = dict(m.full_entries)
-    canonical = sorted(idx for idx in got.keys() | want.keys()
-                       if idx[0] < idx[1] and idx[2] < idx[3] and idx[:2] <= idx[2:])
-    for idx in canonical:
+    want = m.tensor.data
+    for idx in sorted(got.keys() | want.keys()):
         value, expected = got.get(idx, 0), want.get(idx, Fraction(0))
         if not close(value, expected, rel=rel):
             return CheckReport(name, False, witness={

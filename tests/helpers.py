@@ -387,3 +387,27 @@ def nabla_R_reference(M, P):
     partials) gives partials of nabla^k R components, usable as the engine
     of nabla_R_frame."""
     return _NablaRReference(M, P)
+
+
+def pullback_reference(comps, T):
+    """Nonzero components of the 4-tensor comps pulled back through T,
+    contracted one slot at a time over the whole dict: sum over old indices
+    of comps[old] * prod_s T[old_s][new_s].  Every index the contraction
+    reaches is kept, not only the canonical ones."""
+    rows = [[(i, t) for i, t in enumerate(row) if t != 0] for row in T]
+    cur = comps
+    for slot in range(4):
+        nxt = {}
+        for idx, v in cur.items():
+            head, tail = idx[:slot], idx[slot + 1:]
+            for i, t in rows[idx[slot]]:
+                nidx = head + (i,) + tail
+                nxt[nidx] = nxt.get(nidx, 0) + v * t
+        cur = {k: v for k, v in nxt.items() if v != 0}
+    return cur
+
+
+def canonical_part(comps):
+    """The entries of comps on the canonical indices u<v, w<z, (u,v) <= (w,z)."""
+    return {idx: v for idx, v in comps.items()
+            if idx[0] < idx[1] and idx[2] < idx[3] and idx[:2] <= idx[2:]}

@@ -129,3 +129,27 @@ def test_curvature_realization_nabla_ops_pass_their_oracles(seed, tmp_path, monk
         "symmetric-random", "xi-frame", "xi-direct"}
     for op in picked:
         assert op.check(op.call()) is None, (seed, op.kind)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_isometry_ops_pass_their_oracles(seed, tmp_path, monkeypatch, capsys):
+    """The benchmark's is-symmetry and cli-symmetry operations of the
+    model-algebra workload and its verify-0-model-* operations of the
+    curvature-realization workload, set up from bench/ as it stands, each
+    pass their oracle on five seeded draws.  All of them go through
+    symmetry.check_pullback; the kernel-element operations run too, since
+    they draw the matrices the kernel is-symmetry operations check."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    picked = []
+    for setup in (workloads.setup_model_algebra,
+                  workloads.setup_curvature_realization):
+        ops, _ = setup(modules(), seed, tmp_path)
+        picked += [op for op in ops if op.kind.startswith(
+            ("is-symmetry", "cli-symmetry", "kernel-element", "verify-0-model-"))]
+    assert {op.kind for op in picked} == {
+        "is-symmetry", "cli-symmetry", "kernel-element",
+        "verify-0-model-exact", "verify-0-model-float"}
+    for op in picked:
+        assert op.check(op.call()) is None, (seed, op.kind)
+    capsys.readouterr()

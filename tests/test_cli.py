@@ -402,6 +402,29 @@ def test_family_key_outside_the_family_is_usage_error(capsys, tmp_path,
     assert payload is None and err.startswith("error: unknown family key")
 
 
+@pytest.mark.parametrize("argv, content, pair", [
+    (("geometry", "m-a", "symmetric", "--params", "{}"),
+     '{"a": {"1,1": 1, "01,1": 5}}', "'1,1' and '01,1' both name the pair 1,1"),
+    (("geometry", "m-phi", "curvature", "--params", "{}"),
+     json.dumps({"phi": {**{f"{i},{j}": {"var": i} for i in (1, 2, 3)
+                            for j in (1, 2)},
+                         " 1,2": (FnExpr.var(1) + FnExpr.const(1)).to_json()}}),
+     "'1,2' and ' 1,2' both name the pair 1,2"),
+    (("geometry", "{}", "curvature", "--point", "[1, 1, 1]"),
+     '{"a": 1, "b": 1, "C": [[1]], "psi": {"1,1": [{"var": 1}], '
+     '"01,1": [{"num": "2", "den": "1"}]}}', "'1,1' and '01,1' both name the pair 1,1"),
+])
+def test_two_keys_naming_one_pair_is_usage_error(capsys, tmp_path, argv,
+                                                 content, pair):
+    """A family or metric file whose keys "1,1" and "01,1" (or " 1,2") name
+    the same pair is refused rather than read with one of them dropped."""
+    path = tmp_path / "dup.json"
+    path.write_text(content)
+    rc, payload, err = run(capsys, *(a.format(path) for a in argv))
+    assert rc == 2
+    assert payload is None and err.startswith("error: keys ") and pair in err
+
+
 def test_phi_reading_another_coordinate_is_usage_error(capsys, tmp_path):
     x = [None] + [FnExpr.var(i) for i in (1, 2, 3)]
     phi = {f"{i},{j}": x[i].to_json() for i in (1, 2, 3) for j in (1, 2)}

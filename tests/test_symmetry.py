@@ -13,9 +13,17 @@ from jtcurv import (dilatation, is_symmetry, kernel_basis_b,
                     random_kernel_element, rotation, swap_first_second,
                     swap_first_third, tau)
 from jtcurv import symmetry
+from jtcurv.expr import FnExpr
 from jtcurv.linalg import identity, mat_mul, rank, transpose
 from jtcurv.models import M14_LABELS
+from jtcurv.planewave import curvature_at
+from jtcurv.realizations import (build_M_A, build_M_Phi, normalize_basis_0,
+                                 phi_family_specialized)
+from jtcurv.scalars import REL_TOL, close
 from jtcurv.symmetry import pullback
+
+from conftest import random_afamily, rational_point
+from helpers import canonical_part, pullback_reference
 
 
 def det3(T):
@@ -95,10 +103,138 @@ def test_composition_closure(m14):
 
 
 def test_pullback_identity(m14):
+    # pullback returns the canonical components only, which for T = 1 are
+    # the model's own
     T = identity(14)
     G = m14.form.entries
     assert mat_mul(transpose(T), mat_mul(G, T)) == G
-    assert pullback(dict(m14.full_entries), T) == dict(m14.full_entries)
+    assert pullback(dict(m14.full_entries), T) == m14.tensor.data
+
+
+def assert_pullback_matches_reference(comps, T, rel=None):
+    """pullback(comps, T) equals the canonical part of the slot-by-slot
+    contraction: in value and type when rel is None, otherwise within rel
+    times the largest component."""
+    got = pullback(comps, T)
+    want = canonical_part(pullback_reference(comps, T))
+    if rel is None:
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == \
+            {k: type(v) for k, v in want.items()}
+        return
+    scale = max(abs(v) for v in want.values())
+    for idx in got.keys() | want.keys():
+        assert abs(got.get(idx, 0) - want.get(idx, 0)) <= rel * scale, idx
+
+
+#: the CLI's generators, with the README's parameters
+GENERATORS = {
+    "swap12": swap_first_second, "swap13": swap_first_third,
+    "rotation": lambda: rotation(Fraction(3, 5), Fraction(4, 5)),
+    "dilatation": lambda: dilatation(Fraction(2), Fraction(1, 2), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_pullback_matches_slot_reference_on_generators(m14, name):
+    T = GENERATORS[name]()
+    assert_pullback_matches_reference(dict(m14.full_entries), T)
+    floats = [[float(x) for x in row] for row in T]
+    assert_pullback_matches_reference(dict(m14.full_entries), floats, rel=1e-12)
+
+
+def test_pullback_matches_slot_reference_on_kernel_elements(m14):
+    rng = random.Random(14)
+    for _ in range(20):
+        T = random_kernel_element(m14, rng)
+        assert_pullback_matches_reference(dict(m14.full_entries), T)
+        floats = [[float(x) for x in row] for row in T]
+        assert_pullback_matches_reference(dict(m14.full_entries), floats, rel=1e-12)
+
+
+def sparse_matrix(rng, n, density):
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             if rng.random() < density else Fraction(0) for _ in range(n)]
+            for _ in range(n)]
+
+
+def pair_antisymmetric_tensor(rng, n, count):
+    """A random tensor antisymmetric within each index pair, but not
+    symmetric under the exchange of the pairs."""
+    comps = {}
+    for _ in range(count):
+        i, j, k, l = (rng.randrange(n) for _ in range(4))
+        if i == j or k == l:
+            continue
+        v = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for (a, b), s in (((i, j), 1), ((j, i), -1)):
+            for (c, d), t in (((k, l), 1), ((l, k), -1)):
+                comps[a, b, c, d] = comps.get((a, b, c, d), 0) + s * t * v
+    return {idx: v for idx, v in comps.items() if v != 0}
+
+
+def test_pullback_matches_slot_reference_on_random_sparse_matrices(m14):
+    rng = random.Random(15)
+    for _ in range(20):
+        T = sparse_matrix(rng, 14, 0.15)
+        assert_pullback_matches_reference(dict(m14.full_entries), T)
+        comps = pair_antisymmetric_tensor(rng, 6, 12)
+        assert_pullback_matches_reference(comps, sparse_matrix(rng, 6, 0.4))
+
+
+def test_pullback_matches_slot_reference_on_frames():
+    """The normalized frames verify_0_model pulls curvature_at back through:
+    exact on M_A at rational points, to rounding on M_Phi at float points."""
+    rng = random.Random(16)
+    cases = [(build_M_A(random_afamily(rng)), rational_point(rng), None)
+             for _ in range(4)]
+    x1 = FnExpr.var(1)
+    mphi = build_M_Phi(phi_family_specialized(x1.exp(), -((-x1).exp())))
+    cases += [(mphi, tuple(rng.uniform(-0.5, 0.5) for _ in range(14)), 1e-12)
+              for _ in range(3)]
+    for M, P, rel in cases:
+        T = transpose(normalize_basis_0(M, P).ordered())
+        assert_pullback_matches_reference(curvature_at(M, P).comps, T, rel)
+
+
+def form_witness_reference(m, T, rel=REL_TOL):
+    """The first u <= v where mat_mul(T^t, G T) differs from G, as
+    check_pullback reports it, or None."""
+    cols = transpose(T)
+    got = mat_mul(cols, mat_mul(m.form.entries, T))
+    want = m.form.entries
+    for u in range(m.n):
+        for v in range(u, m.n):
+            if not close(got[u][v], want[u][v], rel=rel) and not close(
+                    got[u][v], want[u][v], rel=rel,
+                    scale=m.form.scale(cols[u], cols[v])):
+                return {"part": "form", "index": (m.label(u), m.label(v)),
+                        "expected": want[u][v], "got": got[u][v]}
+    return None
+
+
+def test_form_witness_matches_mat_mul_reference(m14):
+    """The form side sums only the entries u <= v of T^t G T; its witness is
+    mat_mul's, in value and type, for Fraction, float and int matrices."""
+    rng = random.Random(17)
+    swap = [[int(x) for x in row] for row in swap_first_second()]
+    for _ in range(10):
+        K = random_kernel_element(m14, rng)
+        for base in (K, [[float(x) for x in row] for row in K], swap):
+            T = [row[:] for row in base]
+            T[rng.randrange(14)][rng.randrange(14)] += rng.choice(
+                [Fraction(1, 7), -2, 1])
+            # and with a column cleared, so that an entry sums no term
+            cleared = [row[:] for row in T]
+            c = rng.randrange(14)
+            for row in cleared:
+                row[c] = 0
+            for broken in (T, cleared):
+                want = form_witness_reference(m14, broken)
+                assert want is not None
+                rep = is_symmetry(m14, broken)
+                assert rep.witness == want
+                assert type(rep.witness["got"]) is type(want["got"])
 
 
 def test_symmetry_counts_the_canonical_components(m14):

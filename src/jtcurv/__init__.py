@@ -40,7 +40,6 @@ from .planewave import (
     exp_inverse,
     geodesic,
     geodesic_fit,
-    geodesic_path,
     geodesic_residual,
     metric_at,
     nabla_R_component,

@@ -7,10 +7,11 @@ Coordinates are ordered (x_1..x_a, x_1*..x_a*, y_1..y_b); the metric is
 with the warping functions psi depending on the x block only.  That support
 structure gives the Christoffel cascade x -> y -> x*: x is affine along a
 geodesic, y'' depends on x only and x*'' on x, y and y', so geodesics are two
-successive double integrals (Poly antiderivatives on rational data and
-polynomial psi, Chebyshev series otherwise), and every curvature component
-with an x* index or more than one y index vanishes, which is what keeps the
-iterated covariant derivatives of R tractable.
+successive double integrals, and every curvature component with an x* index
+or more than one y index vanishes, which is what keeps the iterated covariant
+derivatives of R tractable.  _Geodesic runs the cascade once for all data:
+three primitives fit, integrate and evaluate each stage, and only they tell
+Poly arithmetic (rational data, polynomial psi) from Chebyshev series.
 
 The Christoffel symbols of the second kind are held once per metric, in the
 lazily built table ``PlaneWaveMetric.gamma``: gamma[(u, v)][f] lists terms
@@ -22,7 +23,7 @@ the only nonzero entries are
                                            - d_k psi_{ij,mu}),
     Gamma^{y_mu}_{x_i x_j}  = -sum_nu C^{mu nu} psi_{ij,nu},
     Gamma^{x*_k}_{x_i y_nu} = psi_{ik,nu}.
-christoffel, the nabla^k R table below and both geodesic paths read it.
+christoffel, the nabla^k R table below and the geodesic cascade read it.
 
 The curvature R(d_a, d_b, d_c, d_d) is held the same way, in the lazily
 built table ``PlaneWaveMetric.riemann``: riemann[key] lists terms of the same
@@ -359,13 +360,11 @@ def _terms_at(terms, P, a, xpartials=(), dy=None):
 
 
 def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
-    """Christoffel symbols at P, read from the table M.gamma.
-
-    kind="second": comps[(u,v,f)] = Gamma^f_{uv}.  All symbols with an x*
-    index among u, v vanish; outputs f are x* or y only.
-    kind="first": comps[(u,v,w)] = Gamma_{uv,w} = g(nabla_u dv, dw), the
-    second kind lowered by metric_at.
-    """
+    """Christoffel symbols of the second kind at P, read from the table
+    M.gamma: comps[(u,v,f)] = Gamma^f_{uv}.  All symbols with an x* index
+    among u, v vanish; outputs f are x* or y only."""
+    if kind != "second":
+        raise ValueError(f"unknown Christoffel kind {kind!r}: only 'second'")
     P = tuple(P)
     comps = {}
     for (u, v), row in M.gamma.items():
@@ -373,15 +372,7 @@ def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
             val = _terms_at(terms, P, M.a)
             if not iszero(val):
                 comps[(u, v, f)] = comps[(v, u, f)] = val
-    if kind != "first":
-        return CoordTensor(M.n, (2, 1), comps)
-    g = metric_at(M, P).entries
-    low = {}
-    for (u, v, f), val in comps.items():
-        for w, gfw in enumerate(g[f]):
-            if gfw != 0:
-                low[(u, v, w)] = low.get((u, v, w), 0) + val * gfw
-    return CoordTensor(M.n, (3, 0), {k: s for k, s in low.items() if not iszero(s)})
+    return CoordTensor(M.n, (2, 1), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +549,15 @@ def nabla_R_frame(M: PlaneWaveMetric, P, vecs4, dvecs, engine=None):
 def _resolve_quadrature(M, values, quadrature):
     """"auto" becomes "exact-poly" for rational data on a polynomial metric
     (PlaneWaveMetric.is_polynomial) and "adaptive" otherwise; "exact-poly"
-    is checked."""
+    is checked, and any other name is a ValueError."""
+    if quadrature not in ("auto", "exact-poly"):
+        raise ValueError(f"unknown quadrature {quadrature!r}: use 'auto' or "
+                         "'exact-poly'")
     exact = all(is_exact(c) for c in values) and M.is_polynomial()
     if quadrature == "exact-poly" and not exact:
         raise ValueError("exact-poly quadrature needs rational data and "
                          "polynomial warping functions")
-    if quadrature == "auto":
-        return "exact-poly" if exact else "adaptive"
-    return quadrature
+    return "exact-poly" if exact else "adaptive"
 
 
 #: Chebyshev fits of the float geodesic: the first degree tried, the degree
@@ -576,45 +568,49 @@ _CHEB_CAP = 1024
 _CHEB_TAIL = 3
 _CHEB_TOL = 1e-15
 
+#: the parameter at which exact data sample each stage, once
+_T = Poly.t()
+
 
 class _Geodesic:
     """Cascade-integrated geodesic through P with initial velocity v.
 
-    x is affine in t; y'' and then x*'' are the Christoffel table contracted
-    once with the x velocities, which stay constant.  y'' reads x only, so
-    its fit does not depend on the initial y velocities: the y stage fits
-    y'' once and integrates it twice with the current y velocities, and
-    exp_inverse changes those (_restart_y) and integrates again without a
-    second fit.  x*'' reads y and y' and is fitted last.  The stages are
-    built on first use.  "exact-poly" evaluates the terms at Poly arguments
-    and integrates with Poly.integrate.
-
-    "adaptive" (floats) builds Chebyshev series on one interval [lo, hi]
-    holding 0 and every parameter asked for so far.  y'' (_F) is sampled at
-    the Chebyshev-Lobatto nodes of the interval, and its series is integrated
-    twice from 0, giving y' and y as series.  x*'' (_G) is then sampled at the
-    same nodes, reading y and y' from those series, and integrated the same
-    way.  Each stage doubles its degree from _CHEB_START, reusing the samples
-    it has, until the largest of its last _CHEB_TAIL coefficients is at most
-    _CHEB_TOL times its largest coefficient, or until _CHEB_CAP.  ``fit``
-    holds the degree and that relative tail (the larger of the two stages);
-    a fit that stops at the cap is not ``converged`` and warns.  A parameter
-    outside the interval rebuilds both stages on the widened hull.
+    x is affine in t; y'' (_F, reading x) and then x*'' (_G, reading x, y
+    and y') are the Christoffel table contracted once with the x velocities,
+    which stay constant.  Each stage is fitted from samples of its
+    accelerations (_fit), integrated twice from P with velocity v
+    (_integrate) and evaluated at t (_series_at); only these three
+    primitives tell the two kinds of data apart:
+      "exact-poly" (rational P and v, PlaneWaveMetric.is_polynomial) samples
+      a stage once, at the Poly t, which gives its accelerations as Polys;
+      "adaptive" (otherwise) fits Chebyshev series on one interval ``span``
+      holding 0 and every parameter asked for so far: it samples at the
+      Chebyshev-Lobatto nodes, doubling the degree from _CHEB_START and
+      reusing the samples it has, until the largest of the last _CHEB_TAIL
+      coefficients is at most _CHEB_TOL times the largest, or until
+      _CHEB_CAP.  ``fit`` holds the degree and that relative tail (the
+      larger of the two stages); a fit that stops at the cap is not
+      ``converged`` and warns.  A parameter outside the interval rebuilds
+      both stages on the widened hull.
+    P and v are held in the scalars of the path, Fraction or float.  Stages
+    are built on first use; the y fit does not read the y velocities, so
+    exp_inverse changes those (_restart_y) without fitting again.
+    acceleration reads the fitted Polys on exact data and samples _F and _G
+    at t on float data.
     """
 
     def __init__(self, M: PlaneWaveMetric, P, v, quadrature="auto"):
         self.M = M
-        self.P = tuple(P)
-        self.v = tuple(v)
-        self.quadrature = _resolve_quadrature(M, self.P + self.v, quadrature)
+        self.quadrature = _resolve_quadrature(M, tuple(P) + tuple(v), quadrature)
         self.exact = self.quadrature == "exact-poly"
+        self._scalar = Fraction if self.exact else float
+        self.P = tuple(map(self._scalar, P))
+        self.v = tuple(map(self._scalar, v))
+        self._xs, self._ys = range(M.a, 2 * M.a), range(2 * M.a, M.n)
         self.fit = {}
-        # y'' fit; y positions (and float velocities); x* stage built
-        self.span = self._yfit = self._ypos = self.polys = self._xpos = None
-        if not self.exact:
-            self.Pf = tuple(float(c) for c in self.P)
-            self.vf = tuple(float(c) for c in self.v)
-        self._contract(self.v if self.exact else self.vf)
+        # y'' series; y and x* series built from it and v
+        self.span = self._yacc = self._ypos = self._xpos = None
+        self._contract(self.v)
 
     def _contract(self, v):
         """Contract the table with v once: terms[f][(y, ydot)] lists (c, expr)
@@ -633,8 +629,10 @@ class _Geodesic:
                     self.terms.setdefault(f, {}).setdefault((y, ydot), []).append(
                         (-coef * vel, expr))
 
-    def _accel(self, f, x, pos=None, vel=None):
-        """gamma''_f at x; pos(c) and vel(c) give gamma_c and gamma'_c."""
+    def _F(self, f, x, pos=None, vel=None):
+        """gamma''_f at the x coordinates x: y'' for a y coordinate f (_F),
+        x*'' for an x* coordinate f (_G), where pos(c) and vel(c) give y_c
+        and y_c'."""
         total = 0
         for (y, ydot), terms in self.terms.get(f, {}).items():
             s = sum(c * expr.eval(x) for c, expr in terms)
@@ -645,126 +643,92 @@ class _Geodesic:
             total = total + s
         return total
 
+    _G = _F
+
+    def _x_at(self, t):
+        """The x coordinates at t."""
+        return tuple(self.P[i] + t * self.v[i] for i in range(self.M.a))
+
+    def _y_row(self, s):
+        """y'' of every y coordinate at s."""
+        x = self._x_at(s)
+        return [self._F(f, x) for f in self._ys]
+
+    def _xstar_row(self, s):
+        """x*'' of every x* coordinate at s, reading y and y' off the y stage."""
+        x = self._x_at(s)
+        ypos, yvel = self._series_at(s, self._ypos, self._yvel)
+        pos = dict(zip(self._ys, ypos)).__getitem__
+        vel = dict(zip(self._ys, yvel)).__getitem__
+        return [self._G(f, x, pos, vel) for f in self._xs]
+
     def _restart_y(self, v):
         """Start with the velocity v instead, which differs from the old one
-        in its y entries only: the fit of y'' (it reads x only) is kept, what
+        in its y entries only: the y'' fit (it reads x only) is kept, what
         the old y velocities gave is dropped."""
-        self.v = tuple(v)
-        if not self.exact:
-            self.vf = tuple(float(c) for c in v)
-        self._ypos = self.polys = self._xpos = None
+        self.v = tuple(map(self._scalar, v))
+        self._ypos = self._xpos = None
 
     def _y_at(self, t):
         """The y coordinates at t, from the y stage alone."""
-        self._cover((t,), xstar=False)
-        if self.exact:
-            return [self._ypos[self.M.yi(mu)].eval(t) for mu in range(self.M.b)]
-        return self._series_at(float(t), self._ypos)[0]
+        t, = self._cover((t,), xstar=False)
+        return self._series_at(t, self._ypos)[0]
 
     def _cover(self, ts, xstar=True):
-        """Check that every t in ts is finite and build what is missing of the
-        y stage and, with xstar, of the x* stage.  In float mode the series
-        cover 0, every t in ts and the interval they already cover, and are
-        rebuilt on the hull if a t falls outside."""
+        """Check that every t in ts is finite, build what is missing of the
+        y stage and, with xstar, of the x* stage, and return ts as the path
+        evaluates them (float, or exact where the path and t are).  On float
+        data the series cover 0, every t in ts and the interval they already
+        cover, and are rebuilt on the hull if a t falls outside."""
         if not all(is_exact(t) or math.isfinite(t) for t in ts):
             raise ValueError(f"geodesic parameters must be finite, got {list(ts)}")
-        if not self.exact:
+        if self.exact:
+            ts = [t if is_exact(t) else float(t) for t in ts]
+        else:
             ts = [float(t) for t in ts]
             lo, hi = min(ts + [0.0]), max(ts + [0.0])
             if self.span is None or not (self.span[0] <= lo and hi <= self.span[1]):
                 if self.span is not None:
                     lo, hi = min(lo, self.span[0]), max(hi, self.span[1])
                 self.span = (lo, lo + 1.0 if lo == hi else hi)
-                self._yfit = self._ypos = self._xpos = None
-        if self._yfit is None:
-            self._yfit = self._fit_y()
+                self._yacc = self._ypos = self._xpos = None
+        if self._yacc is None:
+            self._yacc, self._yfit = self._fit(self._y_row, self.M.b)
         if self._ypos is None:
-            self._integrate_y()
-        if xstar and (self.polys if self.exact else self._xpos) is None:
-            self._fit_xstar()
-
-    # ---- the two stages, exact (Poly) or float (Chebyshev series) ----
-    def _fit_y(self):
-        """y'' of every y coordinate: exact, integrated twice from 0 with zero
-        start ({f: Poly}); float, its Chebyshev coefficients, degree and tail."""
-        M = self.M
-        ys = [M.yi(mu) for mu in range(M.b)]
-        if self.exact:
-            xpol = [Poly([self.P[c], self.v[c]]) for c in range(M.a)]
-            return {f: (Poly() + self._accel(f, xpol)).integrate().integrate()
-                    for f in ys}
-        return self._chebfit(lambda s: [self._F(f, s) for f in ys], len(ys))
-
-    def _integrate_y(self):
-        """y (and in float mode y') from the y'' fit and the current y
-        velocities."""
-        if self.exact:
-            self._ypos = {f: Poly([self.P[f], self.v[f]]) + twice
-                          for f, twice in self._yfit.items()}
-        else:
-            ys = [self.M.yi(mu) for mu in range(self.M.b)]
-            self._ypos, self._yvel = self._integrate(self._yfit[0], ys)
-
-    def _fit_xstar(self):
-        """Fit x*'' on the y stage and integrate it twice."""
-        M, P, v = self.M, self.P, self.v
-        xs = [M.xsi(k) for k in range(M.a)]
-        if self.exact:
-            polys = [Poly([P[c], v[c]]) for c in range(M.n)]
-            for f, p in self._ypos.items():
-                polys[f] = p
-            xpol = polys[:M.a]
-            ydot = {f: p.deriv() for f, p in self._ypos.items()}
-            for f in xs:
-                acc = Poly() + self._accel(f, xpol, polys.__getitem__, ydot.__getitem__)
-                polys[f] += acc.integrate().integrate()
-            self.polys = polys
-            return
-
-        def g_row(s):
-            pos, vel = self._y_state(s)
-            return [self._G(f, s, pos, vel) for f in xs]
-
-        coef, xdeg, xtail = self._chebfit(g_row, len(xs))
-        self._xpos, self._xvel = self._integrate(coef, xs)
-        _, ydeg, ytail = self._yfit
-        self.fit = {"cheb_degree": max(ydeg, xdeg), "cheb_tail": max(ytail, xtail)}
-        if not self.converged:
-            lo, hi = self.span
-            warnings.warn(f"geodesic Chebyshev fit on [{lo}, {hi}] stopped at "
-                          f"degree {_CHEB_CAP} with relative tail "
-                          f"{self.fit['cheb_tail']:.3g}", RuntimeWarning)
-
-    # ---- float mode: Chebyshev series on one interval ----
-    def _x_at(self, t):
-        a = self.M.a
-        return tuple(self.Pf[i] + t * self.vf[i] for i in range(a))
-
-    def _F(self, f, s):
-        """y'' for the y coordinate f at parameter s."""
-        return self._accel(f, self._x_at(s))
-
-    def _G(self, f, s, pos, vel):
-        """x*'' for the x* coordinate f at parameter s; pos(c) and vel(c) give
-        y_c and y_c' there."""
-        return self._accel(f, self._x_at(s), pos, vel)
+            self._ypos, self._yvel = self._integrate(self._yacc, self._ys)
+        if xstar and self._xpos is None:
+            self._xacc, xfit = self._fit(self._xstar_row, self.M.a)
+            self._xpos, self._xvel = self._integrate(self._xacc, self._xs)
+            if not self.exact:
+                self.fit = {"cheb_degree": max(self._yfit[0], xfit[0]),
+                            "cheb_tail": max(self._yfit[1], xfit[1])}
+                if not self.converged:
+                    lo, hi = self.span
+                    warnings.warn(f"geodesic Chebyshev fit on [{lo}, {hi}] stopped "
+                                  f"at degree {_CHEB_CAP} with relative tail "
+                                  f"{self.fit['cheb_tail']:.3g}", RuntimeWarning)
+        return ts
 
     @property
     def converged(self):
         """False once a float fit has stopped at _CHEB_CAP above _CHEB_TOL."""
         return self.fit.get("cheb_tail", 0.0) <= _CHEB_TOL
 
-    def _chebfit(self, sample, width):
-        """Chebyshev coefficients on self.span of the accelerations sample(s)
-        (one row of `width` values per node), the degree and the relative
-        tail."""
+    # ---- the three primitives: exact (Poly) or float (Chebyshev series) ----
+    def _fit(self, row, width):
+        """The acceleration series of one stage, row(s) giving its `width`
+        accelerations at s, and the fit's (degree, relative tail): exact, the
+        Polys row gives at the Poly t (no degree or tail); float, Chebyshev
+        coefficients on self.span, one column per coordinate."""
+        if self.exact:
+            return [Poly() + acc for acc in row(_T)], None
         # numpy loads with the first float geodesic, not with the package
         import numpy as np
         lo, hi = self.span
         mid, half = (lo + hi) / 2, (hi - lo) / 2
 
         def rows(n, js):
-            out = [sample(mid + half * math.cos(math.pi * j / n)) for j in js]
+            out = [row(mid + half * math.cos(math.pi * j / n)) for j in js]
             return np.array(out, dtype=float).reshape(len(js), width)
 
         n = _CHEB_START
@@ -782,79 +746,65 @@ class _Geodesic:
             tail = np.abs(coef[-_CHEB_TAIL:]).max(initial=0.0)
             rel = float(tail / scale) if scale else 0.0
             if rel <= _CHEB_TOL or n >= _CHEB_CAP:
-                return coef, n, rel
+                return coef, (n, rel)
             n *= 2
             grown = np.empty((n + 1, vals.shape[1]))
             grown[0::2] = vals
             grown[1::2] = rows(n, range(1, n, 2))
             vals = grown
 
-    def _integrate(self, coef, coords):
-        """Integrate the acceleration series coef of coords twice from 0 on
-        self.span, starting at P with velocity v: the coefficient arrays of
-        the positions and velocities (one column per coordinate)."""
+    def _integrate(self, acc, coords):
+        """Integrate the accelerations acc of coords twice from 0, starting at
+        P with velocity v: the position and velocity series."""
+        P, v = self.P, self.v
+        if self.exact:
+            vel = [v[c] + a.integrate() for a, c in zip(acc, coords)]
+            return [P[c] + w.integrate() for w, c in zip(vel, coords)], vel
         from numpy.polynomial import chebyshev as C
         lo, hi = self.span
         mid, half = (lo + hi) / 2, (hi - lo) / 2
         u0 = -mid / half
-        vel = C.chebint(coef, lbnd=u0, scl=half)
-        vel[0] += [self.vf[c] for c in coords]
+        vel = C.chebint(acc, lbnd=u0, scl=half)
+        vel[0] += [v[c] for c in coords]
         pos = C.chebint(vel, lbnd=u0, scl=half)
-        pos[0] += [self.Pf[c] for c in coords]
+        pos[0] += [P[c] for c in coords]
         return pos, vel
 
     def _series_at(self, t, *series):
+        """The values of each series at t, one list per series; at the Poly t
+        exact series are their own values."""
+        if self.exact:
+            return [list(s) if t is _T else [p.eval(t) for p in s] for s in series]
         from numpy.polynomial.chebyshev import chebval
         lo, hi = self.span
         u = (2 * t - lo - hi) / (hi - lo)
         return [chebval(u, c).tolist() for c in series]
 
-    def _y_state(self, s):
-        """Lookups pos(c), vel(c) of y_c and y_c' at s, from the y series."""
-        ypos, yvel = self._series_at(s, self._ypos, self._yvel)
-        base = 2 * self.M.a
-        return (dict(enumerate(ypos, base)).__getitem__,
-                dict(enumerate(yvel, base)).__getitem__)
-
     def at(self, t):
-        if self.exact:
-            self._cover((t,))
-            return tuple(p.eval(t if is_exact(t) else float(t)) for p in self.polys)
-        t = float(t)
-        if t == 0.0:
-            return self.Pf
-        self._cover((t,))
+        if not self.exact and t == 0:
+            return self.P
+        t, = self._cover((t,))
         xs, ys = self._series_at(t, self._xpos, self._ypos)
         return self._x_at(t) + tuple(xs) + tuple(ys)
 
     def velocity(self, t):
-        if self.exact:
-            self._cover((t,))
-            return tuple(p.deriv().eval(t if is_exact(t) else float(t))
-                         for p in self.polys)
-        t = float(t)
-        if t == 0.0:
-            return self.vf
-        self._cover((t,))
+        if not self.exact and t == 0:
+            return self.v
+        t, = self._cover((t,))
         xs, ys = self._series_at(t, self._xvel, self._yvel)
-        return self.vf[:self.M.a] + tuple(xs) + tuple(ys)
+        vx = tuple(c if is_exact(t) else float(c) for c in self.v[:self.M.a])
+        return vx + tuple(xs) + tuple(ys)
 
     def acceleration(self, t):
-        M = self.M
-        a, b = M.a, M.b
+        """gamma'' at t: on exact data the fitted Polys, which are the second
+        derivatives of the positions; on float data _F and _G at t."""
+        t, = self._cover((t,))
         if self.exact:
-            self._cover((t,))
-            return tuple(p.deriv().deriv().eval(t if is_exact(t) else float(t))
-                         for p in self.polys)
-        t = float(t)
-        self._cover((t,))
-        pos, vel = self._y_state(t)
-        out = [0.0] * M.n
-        for mu in range(b):
-            out[M.yi(mu)] = self._F(M.yi(mu), t)
-        for k in range(a):
-            out[M.xsi(k)] = self._G(M.xsi(k), t, pos, vel)
-        return tuple(out)
+            xs, ys = self._series_at(t, self._xacc, self._yacc)
+        else:
+            ys, xs = self._y_row(t), self._xstar_row(t)
+        zero = Fraction(0) if is_exact(t) else 0.0
+        return (zero,) * self.M.a + tuple(xs) + tuple(ys)
 
     def residual(self, t):
         """Max abs component of gamma'' + Gamma(gamma', gamma') at parameter t."""
@@ -882,11 +832,6 @@ def geodesic(M: PlaneWaveMetric, P, v, t, quadrature="auto"):
     return _Geodesic(M, P, v, quadrature).at(t)
 
 
-def geodesic_path(M: PlaneWaveMetric, P, v, ts, quadrature="auto"):
-    g = geodesic_fit(M, P, v, ts, quadrature)
-    return [g.at(t) for t in ts]
-
-
 def geodesic_residual(M: PlaneWaveMetric, P, v, t, quadrature="auto"):
     """Max abs component of gamma'' + Gamma(gamma', gamma') at parameter t."""
     return _Geodesic(M, P, v, quadrature).residual(t)
@@ -897,13 +842,13 @@ def exp_inverse(M: PlaneWaveMetric, P, Q, quadrature="auto"):
     a, b = M.a, M.b
     P = tuple(P)
     Q = tuple(Q)
-    quadrature = _resolve_quadrature(M, P + Q, quadrature)
+    exact = _resolve_quadrature(M, P + Q, quadrature) == "exact-poly"
     v = [0] * M.n
     for i in range(a):
         v[i] = Q[i] - P[i]
     # y'' reads only the x velocities: fit it once, solve the y velocities,
-    # then fit x*'' with them
-    g = _Geodesic(M, P, v, quadrature)
+    # then fit x*'' with them; a float Q takes the float path from exact P
+    g = _Geodesic(M, P if exact else [float(c) for c in P], v, quadrature)
     reached = g._y_at(1)
     for mu in range(b):
         v[M.yi(mu)] = Q[M.yi(mu)] - reached[mu]

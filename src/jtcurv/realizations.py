@@ -7,6 +7,7 @@ invariant, and the local-symmetry criterion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,9 +37,17 @@ def _check_family_keys(keys):
                              "keys are i,j with i in 1..3 and j in 1..2")
 
 
+@functools.cache
+def _model(build):
+    """The model build() returns, made once per build function and shared
+    (callers only read it).  Callers pass build_m14 as looked up at call
+    time, so a replaced one (as in the altered-model tests) gets its own."""
+    return build()
+
+
 def _c_block():
     """The 8x8 inner-product block of the y coordinates (model beta block)."""
-    G = build_m14().form.entries
+    G = _model(build_m14).form.entries
     beta = [M14_LABELS.index(name) for name in BETA_LABELS]
     return [[G[i][j] for j in beta] for i in beta]
 
@@ -301,7 +310,7 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
         frame = normalize_basis_0(M, P)
     except (ValueError, ZeroDivisionError) as err:
         return CheckReport("0-model", False, witness={"error": str(err)})
-    return check_pullback("0-model", build_m14(), metric_at(M, P),
+    return check_pullback("0-model", _model(build_m14), metric_at(M, P),
                           curvature_at(M, P).comps, transpose(frame.ordered()), rel)
 
 

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import pathlib
+import re
+import shlex
 from fractions import Fraction
 
 import pytest
 
 from jtcurv.cli import main
-from jtcurv.realizations import AFamily, phi_family_specialized
+from jtcurv.realizations import AFamily, PhiFamily, phi_family_specialized
 from jtcurv.expr import FnExpr
 
 from conftest import SYMMETRIC_A
@@ -500,3 +503,40 @@ def test_geometry_missing_params(capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the README's commands
+
+
+def readme_commands():
+    """The echo and jtcurv lines of the README's sh blocks, continuation
+    lines joined: (line, tokens)."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            tokens = shlex.split(line, comments=True)
+            if tokens and tokens[0] in ("echo", "jtcurv"):
+                out.append((line, tokens))
+    return out
+
+
+def test_readme_commands_run(capsys, exp_json, tmp_path, monkeypatch):
+    """Every jtcurv line of the README runs in a fresh directory after the
+    echo lines before it, and exits 1 exactly where the README says so."""
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line, tokens in readme_commands():
+        if tokens[0] == "echo":
+            assert tokens[2] == ">" and len(tokens) == 4, line
+            (tmp_path / tokens[3]).write_text(tokens[1] + "\n")
+            continue
+        rc = main(tokens[1:])
+        capsys.readouterr()
+        assert rc == (1 if "exits 1" in line else 0), line
+        ran += 1
+    assert ran == 16
+    # phi.json is the exponential family of the exp_json fixture
+    got = PhiFamily.from_json(json.loads((tmp_path / "phi.json").read_text()))
+    assert got.to_json() == json.loads(pathlib.Path(exp_json).read_text())

@@ -17,7 +17,7 @@ from jtcurv.models import canonicalize_riemann, riemann_orbit
 from jtcurv.planewave import (CoordTensor, PlaneWaveMetric, _terms_at,
                               christoffel, covariant_derivative_R, curvature_at,
                               curvature_generic, exp_inverse, geodesic,
-                              geodesic_fit, geodesic_path, geodesic_residual,
+                              geodesic_fit, geodesic_residual,
                               geodesic_trace_csv, metric_at, nabla_R_component,
                               nabla_R_frame)
 from jtcurv.poly import Poly
@@ -128,16 +128,6 @@ def koszul_first_kind(M, P):
     return vals
 
 
-def test_christoffel_first_kind_matches_koszul(rng):
-    for _ in range(4):
-        M = random_metric(rng)
-        P = rational_point(rng, M.n)
-        want = koszul_first_kind(M, P)
-        got = christoffel(M, P, kind="first")
-        for key in set(want) | set(got.comps):
-            assert got.value(*key) == want.get(key, 0), key
-
-
 def test_christoffel_second_kind_raises_with_inverse_metric(rng):
     M = random_metric(rng)
     P = rational_point(rng, M.n)
@@ -151,6 +141,14 @@ def test_christoffel_second_kind_raises_with_inverse_metric(rng):
                 want = sum(ginv[f][w] * first[(u, v, w)] for w in range(n)
                            if (u, v, w) in first)
                 assert second.value(u, v, f) == want, (u, v, f)
+
+
+def test_christoffel_refuses_other_kinds(rng):
+    M = random_metric(rng)
+    P = rational_point(rng, M.n)
+    for kind in ("first", "Second"):
+        with pytest.raises(ValueError, match="only 'second'"):
+            christoffel(M, P, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +426,8 @@ def test_geodesic_path_consistency(rng):
     P = rational_point(rng, M.n)
     v = rational_point(rng, M.n)
     ts = [Fraction(k, 4) for k in range(5)]
-    path = geodesic_path(M, P, v, ts, quadrature="exact-poly")
+    g = geodesic_fit(M, P, v, ts, quadrature="exact-poly")
+    path = [g.at(t) for t in ts]
     assert len(path) == 5
     assert tuple(path[0]) == tuple(P)
     for t, point in zip(ts, path):
@@ -449,10 +448,24 @@ def test_adaptive_quadrature_agrees_with_exact(rng):
     P = rational_point(rng, M.n, num=2, den=2)
     v = rational_point(rng, M.n, num=2, den=2)
     exact = geodesic(M, P, v, Fraction(1), quadrature="exact-poly")
-    approx = geodesic(M, tuple(float(c) for c in P), tuple(float(c) for c in v),
-                      1.0, quadrature="adaptive")
+    approx = geodesic(M, tuple(float(c) for c in P), tuple(float(c) for c in v), 1.0)
     for c_exact, c_adapt in zip(exact, approx):
         assert abs(float(c_exact) - c_adapt) < 1e-9
+
+
+def test_unknown_quadrature_is_refused(rng):
+    """A misspelt quadrature is an error, not a silent float fit; "adaptive"
+    is what float data select, not an input."""
+    M = random_metric(rng, a=2, b=2, degree=2)
+    P = rational_point(rng, M.n)
+    v = rational_point(rng, M.n)
+    for name in ("exakt-poly", "adaptive", "Auto"):
+        for call in (lambda: geodesic(M, P, v, 1, quadrature=name),
+                     lambda: geodesic_fit(M, P, v, quadrature=name),
+                     lambda: exp_inverse(M, P, v, quadrature=name)):
+            with pytest.raises(ValueError, match="unknown quadrature"):
+                call()
+    assert geodesic_fit(M, P, v).quadrature == "exact-poly"
 
 
 def exp_metric():

@@ -290,6 +290,27 @@ def test_verify_0_model_matches_reference_altered_model(rng, monkeypatch, canon)
         assert_same_report(rep, verify_0_model_reference(M, P), tol)
 
 
+def test_model_is_built_once_per_build_function(rng, monkeypatch):
+    """verify_0_model and the family constructors share one model per build
+    function: a replaced build_m14 is called once, however many points and
+    families."""
+    calls = []
+    build = realizations.build_m14
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(realizations, "build_m14", counted)
+    for _ in range(2):
+        M = build_M_A(random_afamily(rng))
+        for _ in range(3):
+            assert verify_0_model(M, rational_point(rng)).holds
+    assert verify_0_model(build_M_Phi(exp_phi_family()),
+                          tuple(rng.uniform(-0.5, 0.5) for _ in range(14))).holds
+    assert len(calls) == 1
+
+
 def test_frame_is_deterministic(rng):
     A = random_afamily(rng)
     M = build_M_A(A)

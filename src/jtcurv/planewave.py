@@ -53,10 +53,16 @@ carrying y_e, without that factor (its Gamma terms raise an index to x*,
 where R vanishes); e of x type takes d_e of every term and subtracts, for
 each slot s of x type, the y-free Gamma^{y_mu}_{e s} times the order k - 1
 entry with y_mu in slot s.  _CovREngine evaluates the table at a point.
+The coordinate scans (covariant_derivative_R, first_nonzero_component) run
+over the canonical entries the support rule allows, each evaluated once and
+expanded over the orbit of its key; on tangent vectors, nabla_R_contract is
+the one contraction (pair slots through the wedges of symmetry.wedge, then
+the direction slots), and it evaluates only the entries the vectors reach.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -68,6 +74,7 @@ from .models import canonicalize_riemann, riemann_orbit
 from .poly import Poly
 from .scalars import (close, is_exact, iszero, pair_keys, scalar_from_json,
                       scalar_to_json)
+from .symmetry import wedge
 
 
 class PlaneWaveMetric:
@@ -190,10 +197,15 @@ class PlaneWaveMetric:
             terms = self._nabla[(key, dirs)] = self._nabla_entry(key, dirs)
         return terms
 
+    def outside_support(self, idx):
+        """True when idx has an x* index or two y indices, where nabla^k R
+        vanishes by the support rule (module docstring)."""
+        far = [t for t in idx if t >= self.a]
+        return len(far) > 1 or any(t < 2 * self.a for t in far)
+
     def _nabla_entry(self, key, dirs):
         kind = self.coord_kind
-        kinds = [kind(t) for t in key + dirs]
-        if "x*" in kinds or kinds.count("y") > 1:
+        if self.outside_support(key + dirs):
             return []
         if not dirs:
             return self.riemann.get(key, [])
@@ -484,36 +496,58 @@ class _CovREngine:
         return Fraction(v) if type(v) is int else v
 
 
-def nabla_R_support(M: PlaneWaveMetric, k):
-    """All index tuples of nabla^k R that can be nonzero: every index of x
-    type, or exactly one of y type.  Pure-x tuples come first: those carry
-    the quadratic terms that survive differentiation, so any nonzero shows
-    up early in a lazy scan."""
-    xs = list(range(M.a))
-    ys = [M.yi(m) for m in range(M.b)]
-    total = 4 + k
-    yield from itertools.product(xs, repeat=total)
-    for pos in range(total):
-        for yidx in ys:
-            for xtup in itertools.product(xs, repeat=total - 1):
-                yield xtup[:pos] + (yidx,) + xtup[pos:]
+def _support_entries(M: PlaneWaveMetric, k, ys=()):
+    """The canonical (key, dirs) of the nabla^k R table whose indices are x's
+    and y indices from ys, at most one of them a y (the support rule); with
+    no ys, in the lexicographic order of key + dirs."""
+    xs = range(M.a)
+    pairs = sorted([*itertools.combinations(xs, 2), *((i, y) for i in xs for y in ys)])
+    for p, q in itertools.combinations_with_replacement(pairs, 2):
+        if p[1] in ys and q[1] in ys:
+            continue
+        yield from ((p + q, dirs) for dirs in itertools.product(xs, repeat=k))
+        if p[1] not in ys and q[1] not in ys:
+            for pos in range(k):
+                for y in ys:
+                    for rest in itertools.product(xs, repeat=k - 1):
+                        yield p + q, rest[:pos] + (y,) + rest[pos:]
+
+
+def _components(eng, entries):
+    """(index, value) of the nonzero components the canonical entries reach:
+    each entry is evaluated once and expanded over the orbit of its key."""
+    for key, dirs in entries:
+        v = eng.value(key, dirs)
+        if not iszero(v):
+            yield from ((tup + dirs, s * v) for tup, s in riemann_orbit(key))
+
+
+def _support_rank(M: PlaneWaveMetric, idx):
+    """Sort key of the listing order of nabla^k R: x-type index tuples first,
+    lexicographically, then by the slot and index of the y, then the rest."""
+    pos = next((p for p, t in enumerate(idx) if t >= 2 * M.a), None)
+    return (0, idx) if pos is None else (1, pos, idx[pos], idx[:pos] + idx[pos + 1:])
 
 
 def covariant_derivative_R(M: PlaneWaveMetric, P, k: int) -> CoordTensor:
-    """nabla^k R at P as a sparse CoordTensor of valence (4, k).
-
-    Components with an x* index, or with more than one y index, are omitted
-    (they vanish identically for this metric family).
-    """
+    """nabla^k R at P as a sparse CoordTensor of valence (4, k), listed in
+    the order of _support_rank.  Components with an x* index, or with more
+    than one y index, are omitted (they vanish identically: the support rule)."""
     if k < 0:
         raise ValueError("order must be nonnegative")
+    found = _components(_CovREngine(M, P), _support_entries(M, k, range(2 * M.a, M.n)))
+    return CoordTensor(M.n, (4, k), sorted(found, key=lambda c: _support_rank(M, c[0])))
+
+
+def first_nonzero_component(M: PlaneWaveMetric, P, k: int):
+    """The first (index, value) of covariant_derivative_R(M, P, k), or None.
+    The x-type entries are scanned first and lazily: the lexicographically
+    first nonzero x-type index is its own canonical key.  Only if they all
+    vanish are the entries with a y index evaluated."""
     eng = _CovREngine(M, P)
-    comps = {}
-    for idx in nabla_R_support(M, k):
-        v = eng.value(idx[:4], idx[4:])
-        if not iszero(v):
-            comps[idx] = v
-    return CoordTensor(M.n, (4, k), comps)
+    found = _components(eng, _support_entries(M, k, range(2 * M.a, M.n)))
+    return next(_components(eng, _support_entries(M, k)), None) or min(
+        found, key=lambda c: _support_rank(M, c[0]), default=None)
 
 
 def nabla_R_component(M: PlaneWaveMetric, P, idx4, dirs):
@@ -521,25 +555,50 @@ def nabla_R_component(M: PlaneWaveMetric, P, idx4, dirs):
     return _CovREngine(M, P).value(tuple(idx4), tuple(dirs))
 
 
-def nabla_R_frame(M: PlaneWaveMetric, P, vecs4, dvecs, engine=None):
-    """nabla^k R evaluated on arbitrary tangent vectors at P."""
+def nabla_R_contract(M: PlaneWaveMetric, P, vecs, requests, engine=None):
+    """(nabla^k R)(X1, X2, X3, X4; D1, ..., Dk) at P for each request, a tuple
+    of 4 + k positions in the list of tangent vectors vecs.  As R is
+    antisymmetric within each index pair, a value is the sum over coordinate
+    pairs p, q of W12[p] W34[q] (nabla^k R)(p + q; D1, ..., Dk), with wedges
+    W12 = X1 ^ X2, W34 = X3 ^ X4 (symmetry.wedge) and p + q or q + p a
+    canonical key; the direction slots are contracted one by one.  Each wedge
+    is formed, and each entry the vectors reach within the support rule
+    evaluated, once per call.  A value reaching no nonzero component is int 0."""
     eng = engine if engine is not None else _CovREngine(M, P)
+    out = M.outside_support
+    nz = [[(i, c) for i, c in enumerate(v) if c and not out((i,))] for v in vecs]
+
+    @functools.cache
+    def pairs(s, t):
+        return [(p, w) for p, w in wedge(nz[s], nz[t]).items() if not out(p)]
+
+    @functools.cache
+    def entry(key, ds):
+        """The entry at key contracted with the vectors at the positions ds,
+        or None when no component it reaches is nonzero."""
+        terms = [((), 1)]
+        for d in ds:
+            terms = [(dirs + (e,), c * x) for dirs, c in terms
+                     for e, x in nz[d] if not out(key + dirs + (e,))]
+        vals = [c * v for dirs, c in terms if (v := eng.value(key, dirs)) != 0]
+        return sum(vals[1:], vals[0]) if vals else None
+
+    values = []
+    for s1, s2, s3, s4, *ds in requests:
+        total = 0
+        for p, w12 in pairs(s1, s2):
+            for q, w34 in pairs(s3, s4):
+                v = None if out(p + q) else entry(min(p + q, q + p), tuple(ds))
+                if v is not None:
+                    total += w12 * w34 * v
+        values.append(total)
+    return values
+
+
+def nabla_R_frame(M: PlaneWaveMetric, P, vecs4, dvecs, engine=None):
+    """nabla^k R on arbitrary tangent vectors at P: one nabla_R_contract."""
     vecs = list(vecs4) + list(dvecs)
-    supports = []
-    for v in vecs:
-        sup = [i for i, c in enumerate(v) if c != 0 and M.coord_kind(i) != "x*"]
-        supports.append(sup)
-    total = 0
-    for combo in itertools.product(*supports):
-        if sum(1 for i in combo if M.coord_kind(i) == "y") >= 2:
-            continue
-        coeff = 1
-        for slot, i in enumerate(combo):
-            coeff = coeff * vecs[slot][i]
-        val = eng.value(combo[:4], combo[4:])
-        if val != 0:
-            total += coeff * val
-    return total
+    return nabla_R_contract(M, P, vecs, [range(len(vecs))], engine)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -38,13 +38,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def _wrap(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
@@ -54,13 +47,16 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            # a constant changes the constant coefficient only
+            a = self.coeffs or (Fraction(0),)
+            return Poly((a[0] + other,) + a[1:])
+        if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly(x + y for x, y in zip(a, b))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -68,8 +64,7 @@ class Poly:
         return Poly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction, Poly)):
             return NotImplemented
         return self + (-other)
 
@@ -77,8 +72,9 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return Poly(c * other for c in self.coeffs)
+        if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()

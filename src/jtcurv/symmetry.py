@@ -19,6 +19,7 @@ and only those canonical components of A' are formed.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .linalg import nullspace_basis, transpose
@@ -132,20 +133,10 @@ def pullback(comps, T):
     W row.  The result holds the nonzero A'(u,v,w,z) on the canonical
     indices u<v, w<z, (u,v) <= (w,z) and nothing else."""
     rows = [[(i, t) for i, t in enumerate(row) if t] for row in T]
-    wedge = {}
 
+    @functools.cache
     def w_row(pair):
-        if pair not in wedge:
-            i, j = pair
-            acc = {}
-            for u, a in rows[i]:
-                for v, b in rows[j]:
-                    if u < v:
-                        _add(acc, (u, v), a * b)
-                    elif v < u:
-                        _add(acc, (v, u), -(a * b))
-            wedge[pair] = [(uv, x) for uv, x in acc.items() if x]
-        return wedge[pair]
+        return [(uv, x) for uv, x in wedge(rows[pair[0]], rows[pair[1]]).items() if x]
 
     # half[p][wz] = sum over q of A(p, q) W[q][wz]
     half = {}
@@ -161,6 +152,21 @@ def pullback(comps, T):
                 if uv <= wz:
                     _add(out, uv + wz, x * h)
     return {idx: v for idx, v in out.items() if v}
+
+
+def wedge(xs, ys):
+    """X ^ Y = {(u, v): X_u Y_v - X_v Y_u} for sparse vectors given as
+    (index, coefficient) lists, on every pair u < v they reach (a cancelled
+    coefficient included): the W rows of pullback, and the pair slots of
+    planewave.nabla_R_contract."""
+    acc = {}
+    for u, a in xs:
+        for v, b in ys:
+            if u < v:
+                _add(acc, (u, v), a * b)
+            elif v < u:
+                _add(acc, (v, u), -(a * b))
+    return acc
 
 
 def _add(acc, key, x):

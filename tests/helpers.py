@@ -1,7 +1,8 @@
 """Hand-transcribed component fixtures for the constant-coefficient
 plane-wave family, shared between the unit suite and the acceptance suite,
-reference loops for the closed-form curvature of a plane-wave metric, and the
-pointwise recursion for its iterated covariant derivatives."""
+reference loops for the closed-form curvature of a plane-wave metric, the
+pointwise recursion for its iterated covariant derivatives, and the plain
+scans and contractions of nabla^k R over coordinate index tuples."""
 
 import itertools
 from fractions import Fraction
@@ -10,7 +11,7 @@ from jtcurv import realizations
 from jtcurv.expr import FnExpr
 from jtcurv.models import (M14_LABELS, CheckReport, canonicalize_riemann,
                            riemann_orbit)
-from jtcurv.planewave import CoordTensor, _terms_at, metric_at, nabla_R_frame
+from jtcurv.planewave import CoordTensor, _CovREngine, _terms_at, metric_at
 from jtcurv.scalars import iszero
 from jtcurv.realizations import Y_PAIRS
 from jtcurv.scalars import REL_TOL, close, is_exact
@@ -135,8 +136,8 @@ def verify_0_model_reference(M, P, rel=REL_TOL):
                 for z in range(w + 1, 14):
                     if (w, z) < (u, v):
                         continue
-                    got = nabla_R_frame(M, P, [vecs[u], vecs[v], vecs[w], vecs[z]],
-                                        [], engine=eng)
+                    got = nabla_R_frame_reference(
+                        M, P, [vecs[u], vecs[v], vecs[w], vecs[z]], [], engine=eng)
                     want = model.tensor.value(u, v, w, z)
                     checked += 1
                     if not close(got, want, rel=rel):
@@ -387,6 +388,95 @@ def nabla_R_reference(M, P):
     partials) gives partials of nabla^k R components, usable as the engine
     of nabla_R_frame."""
     return _NablaRReference(M, P)
+
+
+# ---------------------------------------------------------------------------
+# nabla^k R scanned and contracted one coordinate index tuple at a time
+
+
+def nabla_R_support(M, k):
+    """All index tuples of nabla^k R that can be nonzero: every index of x
+    type, or exactly one of y type.  Pure-x tuples come first, in
+    lexicographic order; then by the slot of the y index, the y index and
+    the x indices."""
+    xs = list(range(M.a))
+    ys = [M.yi(m) for m in range(M.b)]
+    total = 4 + k
+    yield from itertools.product(xs, repeat=total)
+    for pos in range(total):
+        for yidx in ys:
+            for xtup in itertools.product(xs, repeat=total - 1):
+                yield xtup[:pos] + (yidx,) + xtup[pos:]
+
+
+def covariant_derivative_R_reference(M, P, k):
+    """covariant_derivative_R as a scan of every support tuple, in the order
+    of nabla_R_support, each evaluated through the engine on its own."""
+    eng = _CovREngine(M, P)
+    comps = {}
+    for idx in nabla_R_support(M, k):
+        v = eng.value(idx[:4], idx[4:])
+        if not iszero(v):
+            comps[idx] = v
+    return CoordTensor(M.n, (4, k), comps)
+
+
+def first_nonzero_reference(M, P, k):
+    """The lazy witness scan: the first nonzero (index, value) of nabla^k R
+    in the order of nabla_R_support, or None."""
+    eng = _CovREngine(M, P)
+    for idx in nabla_R_support(M, k):
+        v = eng.value(idx[:4], idx[4:])
+        if not iszero(v):
+            return idx, v
+    return None
+
+
+def symmetric_space_check_reference(A, rng, points):
+    """symmetric_space_check with its witness from first_nonzero_reference."""
+    res = realizations.symmetric_space_residuals(A)
+    M = realizations.build_M_A(A)
+    max_comp, worst, sampled = Fraction(0), None, 0
+    for _ in range(points):
+        P = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(14)]
+        sampled += 1
+        first = first_nonzero_reference(M, P, 1)
+        if first is not None:
+            worst, max_comp = first
+            break
+    holds = all(iszero(r) for r in res) and worst is None
+    report = CheckReport("locally-symmetric", holds,
+                         stats={"equation_residuals": list(res),
+                                "max_nabla_R_component": max_comp,
+                                "points_sampled": sampled})
+    if not holds:
+        report.witness = {"equation_residuals": list(res),
+                          "max_nabla_R_component": max_comp,
+                          "nabla_R_index": worst}
+    return report
+
+
+def nabla_R_frame_reference(M, P, vecs4, dvecs, engine=None):
+    """nabla^k R on tangent vectors as a product over the coordinate
+    supports of the slots, skipping x* indices and tuples with two y
+    indices, one component at a time."""
+    eng = engine if engine is not None else _CovREngine(M, P)
+    vecs = list(vecs4) + list(dvecs)
+    supports = []
+    for v in vecs:
+        sup = [i for i, c in enumerate(v) if c != 0 and M.coord_kind(i) != "x*"]
+        supports.append(sup)
+    total = 0
+    for combo in itertools.product(*supports):
+        if sum(1 for i in combo if M.coord_kind(i) == "y") >= 2:
+            continue
+        coeff = 1
+        for slot, i in enumerate(combo):
+            coeff = coeff * vecs[slot][i]
+        val = eng.value(combo[:4], combo[4:])
+        if val != 0:
+            total += coeff * val
+    return total
 
 
 def pullback_reference(comps, T):

@@ -8,13 +8,17 @@ import random
 from fractions import Fraction
 
 from jtcurv.models import canonicalize_riemann
-from jtcurv.planewave import (_CovREngine, covariant_derivative_R, nabla_R_frame,
-                              nabla_R_support)
-from jtcurv.realizations import build_M_A, build_M_Phi
+from jtcurv.expr import FnExpr
+from jtcurv.planewave import (PlaneWaveMetric, _CovREngine, covariant_derivative_R,
+                              first_nonzero_component, nabla_R_contract,
+                              nabla_R_frame)
+from jtcurv.realizations import build_M_A, build_M_Phi, symmetric_space_check
 from jtcurv.scalars import is_exact
 
 from conftest import SYMMETRIC_A, random_afamily, rational_point
-from helpers import nabla_R_reference
+from helpers import (covariant_derivative_R_reference, first_nonzero_reference,
+                     nabla_R_frame_reference, nabla_R_reference, nabla_R_support,
+                     symmetric_space_check_reference)
 from test_geometry import partials_upto_2, random_metric, table_partial
 from test_realizations import exp_mix_phi_family, exp_phi_family
 
@@ -141,3 +145,102 @@ def test_tables_are_lazy():
     """A fresh metric holds no built table."""
     M = build_M_A(random_afamily(random.Random(3)))
     assert (M._gamma, M._riemann, M._nabla) == (None, None, {})
+
+
+# ---------------------------------------------------------------------------
+# canonical-entry scans and the frame contraction against the plain loops of
+# tests/helpers.py: dicts in the same order, values of the same type
+
+
+def random_point(rng, n, exact):
+    P = rational_point(rng, n)
+    return P if exact else tuple(float(c) for c in P)
+
+
+def test_covariant_derivative_matches_support_scan():
+    """Keys, values, types and iteration order of the nabla^k R dict equal
+    the scan of every support tuple, k <= 2, at exact and float points."""
+    rng = random.Random(20261101)
+    for trial in range(12):
+        M = random_metric(rng, a=rng.choice((2, 3)), b=rng.randint(1, 4))
+        P = random_point(rng, M.n, exact=trial % 2 == 0)
+        for k in range(3):
+            got = covariant_derivative_R(M, P, k).comps
+            want = covariant_derivative_R_reference(M, P, k).comps
+            assert repr(list(got.items())) == repr(list(want.items())), (trial, k)
+    for A in (random_afamily(rng), SYMMETRIC_A):
+        M, P = build_M_A(A), rational_point(rng)
+        got = covariant_derivative_R(M, P, 1).comps
+        want = covariant_derivative_R_reference(M, P, 1).comps
+        assert repr(list(got.items())) == repr(list(want.items()))
+
+
+def test_frame_contraction_matches_support_product():
+    """nabla_R_contract (one call for many requests) and nabla_R_frame equal
+    the product over the coordinate supports, on sparse random vectors that
+    include x* entries and repeated vectors: exact values in value and type
+    (an int 0 where nothing nonzero is reached), floats to FLOAT_REL."""
+    rng = random.Random(20261102)
+    for trial in range(16):
+        M = random_metric(rng, a=rng.choice((2, 3)), b=rng.randint(1, 4))
+        exact = trial % 2 == 0
+        P = random_point(rng, M.n, exact)
+        vecs = []
+        for _ in range(6):
+            v = [0] * M.n
+            for i in rng.sample(range(M.n), 3):
+                v[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            vecs.append(tuple(v) if exact else tuple(float(c) for c in v))
+        requests = [tuple(rng.randrange(6) for _ in range(4 + rng.randint(0, 2)))
+                    for _ in range(24)]
+        requests += [(0, 0, 1, 2), (0, 1, 1, 0, 2), (2, 3, 2, 3, 4, 4)]
+        got = nabla_R_contract(M, P, vecs, requests)
+        for req, v in zip(requests, got):
+            w = nabla_R_frame_reference(M, P, [vecs[s] for s in req[:4]],
+                                        [vecs[s] for s in req[4:]])
+            if exact:
+                assert repr(v) == repr(w), (trial, req, v, w)
+            else:
+                assert type(v) is type(w) and same(v, w), (trial, req, v, w)
+            assert repr(nabla_R_frame(M, P, [vecs[s] for s in req[:4]],
+                                      [vecs[s] for s in req[4:]])) == repr(v)
+
+
+def test_first_nonzero_matches_lazy_scan():
+    """The witness of the symmetric scan is the first nonzero component in
+    the order of nabla_R_support, on M_A draws (symmetric or not) and on
+    random metrics."""
+    rng = random.Random(20261103)
+    cases = [(build_M_A(A), rational_point(rng))
+             for A in (SYMMETRIC_A, random_afamily(rng), random_afamily(rng))]
+    for _ in range(8):
+        M = random_metric(rng, a=rng.choice((2, 3)), b=rng.randint(1, 3), degree=2)
+        cases.append((M, rational_point(rng, M.n)))
+    for M, P in cases:
+        for k in (1, 2):
+            got = first_nonzero_component(M, P, k)
+            assert repr(got) == repr(first_nonzero_reference(M, P, k)), k
+
+
+def test_first_nonzero_with_a_y_index():
+    """psi_11 = x2^2 (a = 2, b = 1, C = [[1]]) at x2 = y1 = 0: every
+    nonzero nabla R component has a y index, so a search over the x-type
+    entries alone finds nothing."""
+    M = PlaneWaveMetric(2, 1, [[Fraction(1)]], {(0, 0): [FnExpr.var(2) ** 2]})
+    P = (Fraction(1, 3), Fraction(0), Fraction(2), Fraction(-1), Fraction(0))
+    comps = covariant_derivative_R(M, P, 1).comps
+    assert len(comps) == 12
+    assert all(M.yi(0) in idx for idx in comps)
+    first = first_nonzero_component(M, P, 1)
+    assert first == ((4, 0, 0, 1, 1), Fraction(-2)) == next(iter(comps.items()))
+    assert repr(first) == repr(first_nonzero_reference(M, P, 1))
+
+
+def test_symmetric_check_matches_lazy_scan():
+    """Reports (verdict, stats, witness) equal those of the lazy scan over
+    nabla_R_support, for the hand-solved symmetric set and random draws."""
+    rng = random.Random(20261104)
+    for d, A in enumerate([SYMMETRIC_A] + [random_afamily(rng) for _ in range(5)]):
+        got = symmetric_space_check(A, rng=random.Random(d), points=3)
+        want = symmetric_space_check_reference(A, rng=random.Random(d), points=3)
+        assert repr(got) == repr(want), d

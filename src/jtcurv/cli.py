@@ -125,6 +125,11 @@ def _det3(T):
             + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0]))
 
 
+#: the --generator names; a generator raises TypeError on surplus parameters
+_GENERATORS = {"swap12": symmetry.swap_first_second, "swap13": symmetry.swap_first_third,
+               "rotation": symmetry.rotation, "dilatation": symmetry.dilatation}
+
+
 def cmd_symmetry(args):
     if args.model != "m14":
         raise UsageError("symmetry checks are specific to the builtin m14 model")
@@ -149,20 +154,11 @@ def cmd_symmetry(args):
     if args.generator:
         name, _, params = args.generator.partition(":")
         vals = [_parse_scalar(p, args.mode) for p in params.split(",")] if params else []
+        if name not in _GENERATORS:
+            raise UsageError(f"unknown generator {name!r}")
         try:
-            if name == "swap12":
-                T = symmetry.swap_first_second()
-            elif name == "swap13":
-                T = symmetry.swap_first_third()
-            elif name == "rotation":
-                T = symmetry.rotation(*vals)
-            elif name == "dilatation":
-                T = symmetry.dilatation(*vals)
-            else:
-                raise UsageError(f"unknown generator {name!r}")
+            T = _GENERATORS[name](*vals)
         except (TypeError, ValueError) as err:
-            if isinstance(err, UsageError):
-                raise
             raise UsageError(str(err)) from err
         rep = symmetry.is_symmetry(m, T, rel=args.tol)
         rep.name = f"generator-{name}"

@@ -56,8 +56,9 @@ entry with y_mu in slot s.  _CovREngine evaluates the table at a point.
 The coordinate scans (covariant_derivative_R, first_nonzero_component) run
 over the canonical entries the support rule allows, each evaluated once and
 expanded over the orbit of its key; on tangent vectors, nabla_R_contract is
-the one contraction (pair slots through the wedges of symmetry.wedge, then
-the direction slots), and it evaluates only the entries the vectors reach.
+the one contraction (pair slots through the wedges of symmetry.wedge, the
+rows on which symmetry.pullback forms its congruence, then the direction
+slots), and it evaluates only the entries the vectors reach.
 """
 
 from __future__ import annotations

@@ -15,12 +15,12 @@ from fractions import Fraction
 from .expr import EvalError, FnExpr
 from .linalg import BilinearForm, solve, transpose
 from .models import M14_LABELS, CheckReport, build_m14
-from .planewave import (PlaneWaveMetric, _CovREngine, curvature_at,
-                        first_nonzero_component, metric_at, nabla_R_contract)
+from .planewave import (PlaneWaveMetric, _CovREngine, first_nonzero_component,
+                        metric_at, nabla_R_contract)
 from .planewave import nabla_R_frame  # noqa: F401 (bench/tracing.py patches it here)
 from .scalars import (REL_TOL, close, iszero, pair_keys, scalar_from_json,
                       scalar_to_json)
-from .symmetry import BETA_LABELS, check_pullback
+from .symmetry import BETA_LABELS, beta_shift_rows, check_pullback
 
 #: y-coordinate order: the (i,j) pair labels of the eight y's, which are
 #: the model's beta directions b_{i,j} in basis order
@@ -249,19 +249,8 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
         lam[mu] = Fraction(1) / r
 
     # stage two: t[i][mu] coefficients from a linear solve
-    rows = []
-    rhs = []
-    for (p, q, r, s) in _XXXX_BASIS:
-        row = [0] * 24
-        for slot, m in enumerate((p, q, r, s)):
-            for mu in range(8):
-                idx = [p, q, r, s]
-                idx[slot] = M.yi(mu)
-                v = eng.value(tuple(idx))
-                if v != 0:
-                    row[8 * m + mu] += lam[mu] * v
-        rows.append(row)
-        rhs.append(-eng.value((p, q, r, s)))
+    rows = beta_shift_rows(_XXXX_BASIS, [M.yi(mu) for mu in range(8)], eng.value, lam)
+    rhs = [-eng.value(tup) for tup in _XXXX_BASIS]
     tflat = solve(rows, rhs)
     t = [tflat[8 * i:8 * (i + 1)] for i in range(3)]
 
@@ -313,8 +302,10 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
         frame = normalize_basis_0(M, P)
     except (ValueError, ZeroDivisionError) as err:
         return CheckReport("0-model", False, witness={"error": str(err)})
-    return check_pullback("0-model", _model(build_m14), frame.metric,
-                          curvature_at(M, P).comps, transpose(frame.ordered()), rel)
+    eng = _CovREngine(M, P)
+    R = {key: v for key in M.riemann if not iszero(v := eng.value(key))}
+    return check_pullback("0-model", _model(build_m14), frame.metric, R,
+                          transpose(frame.ordered()), rel)
 
 
 # ---------------------------------------------------------------------------

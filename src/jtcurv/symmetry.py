@@ -7,14 +7,14 @@ vector e_j.
 
 T is a symmetry when it carries the inner product and the curvature tensor
 to themselves: T^t G T = G, and A(T e_u, T e_v, T e_w, T e_z) = A(u,v,w,z)
-on the canonical indices u<v, w<z, (u,v) <= (w,z).  The tensor side is a
-congruence on the exterior square (see pullback): A is antisymmetric within
-each index pair, so with W[(i,j)][(u,v)] = T_iu T_jv - T_ju T_iv for pairs
-i<j, u<v,
+on the canonical indices u<v, w<z, (u,v) <= (w,z).  Both sides are one
+congruence X^t S X, _congruence: S = G with the rows of T, and, as A is
+antisymmetric within each index pair, S = A on the exterior square with the
+wedge rows W[(i,j)][(u,v)] = T_iu T_jv - T_ju T_iv for pairs i<j, u<v:
 
-    A'(uv, wz) = sum over pairs p, q of W[p][uv] A(p, q) W[q][wz],
+    A'(uv, wz) = sum over pairs p, q of W[p][uv] A(p, q) W[q][wz].
 
-and only those canonical components of A' are formed.
+Only the entries u <= v are formed, so only the canonical components of A'.
 """
 
 from __future__ import annotations
@@ -119,39 +119,42 @@ def dilatation(a1, a2, a3):
 
 
 def pullback(comps, T):
-    """Canonical components of the 4-tensor comps pulled back through T, where
+    """The algebraic curvature tensor comps pulled back through T, where
     T[old][new] is the coefficient of old index `old` in new index `new`.
 
-    comps maps index 4-tuples to values and must be antisymmetric within
-    each index pair, A(j,i,k,l) = -A(i,j,k,l) = A(i,j,l,k); only its entries
-    with i<j, k<l are read.  The pull-back is then a congruence on the
-    exterior square: with W[(i,j)][(u,v)] = T_iu T_jv - T_ju T_iv,
-
-        A'(uv, wz) = sum over pairs p, q of W[p][uv] A(p, q) W[q][wz],
-
-    contracted one pair at a time.  Only the pairs that occur in comps get a
-    W row.  The result holds the nonzero A'(u,v,w,z) on the canonical
-    indices u<v, w<z, (u,v) <= (w,z) and nothing else."""
+    comps and the result hold the components on the canonical indices i<j,
+    k<l, (i,j) <= (k,l), as CurvatureTensor.data and PlaneWaveMetric.riemann
+    do; the result only the nonzero ones.  The pull-back is the congruence
+    W^t A W on the exterior square (module docstring), and only the pairs
+    that occur in comps get a W row."""
     rows = [[(i, t) for i, t in enumerate(row) if t] for row in T]
 
     @functools.cache
     def w_row(pair):
         return [(uv, x) for uv, x in wedge(rows[pair[0]], rows[pair[1]]).items() if x]
 
-    # half[p][wz] = sum over q of A(p, q) W[q][wz]
+    out = _congruence({(idx[:2], idx[2:]): a for idx, a in comps.items()}, w_row)
+    return {uv + wz: v for (uv, wz), v in out.items() if v}
+
+
+def _congruence(upper, row):
+    """{(u, v): (X^t S X)_uv} on u <= v, for the symmetric S given by its
+    entries upper[(p, q)], p <= q, and the rows X[p] = row(p) as sparse
+    (u, x) lists.  When upper iterates in index order, both products sum
+    in mat_mul's order: S X over increasing q, then X^t (S X) over p."""
     half = {}
-    for (i, j, k, l), a in comps.items():
-        if i < j and k < l:
-            row = half.setdefault((i, j), {})
-            for wz, x in w_row((k, l)):
-                _add(row, wz, a * x)
+    for (p, q), s in upper.items():
+        for a, b in ((p, q), (q, p)) if p != q else ((p, q),):
+            acc = half.setdefault(a, {})
+            for v, x in row(b):
+                _add(acc, v, s * x)
     out = {}
-    for p, row in half.items():
-        for uv, x in w_row(p):
-            for wz, h in row.items():
-                if uv <= wz:
-                    _add(out, uv + wz, x * h)
-    return {idx: v for idx, v in out.items() if v}
+    for p in sorted(half):
+        for u, x in row(p):
+            for v, h in half[p].items():
+                if u <= v:
+                    _add(out, (u, v), x * h)
+    return out
 
 
 def wedge(xs, ys):
@@ -177,40 +180,26 @@ def _add(acc, key, x):
 
 def check_pullback(name, m: Model0, form, comps, T,
                    rel: float = REL_TOL) -> CheckReport:
-    """Does T carry the bilinear form `form` and the 4-tensor `comps` (a dict
-    of index 4-tuples) to m's inner product and curvature tensor?
+    """Does T carry the bilinear form `form` and the curvature tensor `comps`
+    (canonical components, as pullback takes them) to m's?
 
-    The form is compared on T^t G T, u <= v, which is all that is formed
-    (its terms summed in mat_mul's order); a float entry that fails is
-    compared again against form.scale of the two columns, the size of the
-    terms it sums, which also bounds the rounding of the product.  The
-    tensor is compared on the canonical indices u<v, w<z, (u,v) <= (w,z),
-    where pullback(comps, T) and m.tensor.data both hold their components:
-    away from the nonzero ones both sides vanish, so only those are
-    compared, in index order, and the witness is the first mismatch of the
+    Both sides are the one congruence _congruence: T^t G T on u <= v, in
+    mat_mul's order, and pullback(comps, T) on the canonical indices.  A
+    float form entry that fails is compared again against form.scale of the
+    two columns, the size of the terms it sums, which also bounds the
+    rounding of the product.  Away from the nonzero components of
+    pullback(comps, T) and m.tensor.data both sides vanish, so only those
+    are compared, in index order: the witness is the first mismatch of the
     full scan."""
-    # the rows of G T, then those of T^t (G T) on v >= u, each entry summed
-    # over the nonzero terms in mat_mul's order
+    G = form.entries
     rows = [[(v, t) for v, t in enumerate(row) if t] for row in T]
-    gt = []
-    for grow in form.entries:
-        acc = {}
-        for j, g in enumerate(grow):
-            if g:
-                for v, t in rows[j]:
-                    _add(acc, v, g * t)
-        gt.append([(v, x) for v, x in acc.items() if x])
+    got = _congruence({(p, q): G[p][q] for p in range(m.n)
+                       for q in range(p, m.n) if G[p][q]}, rows.__getitem__)
     cols = transpose(T)
     want = m.form.entries
     for u in range(m.n):
-        got = {}
-        for k, a in enumerate(cols[u]):
-            if a:
-                for v, x in gt[k]:
-                    if v >= u:
-                        _add(got, v, a * x)
         for v in range(u, m.n):
-            value = got.get(v, 0)
+            value = got.get((u, v), 0)
             if not close(value, want[u][v], rel=rel) and not close(
                     value, want[u][v], rel=rel, scale=form.scale(cols[u], cols[v])):
                 # Fraction(0) + value is the entry mat_mul(T^t, G T) gives
@@ -232,7 +221,7 @@ def check_pullback(name, m: Model0, form, comps, T,
 
 def is_symmetry(m: Model0, T, rel: float = REL_TOL) -> CheckReport:
     """Does T preserve both the inner product and the curvature tensor?"""
-    return check_pullback("symmetry", m, m.form, dict(m.full_entries), T, rel)
+    return check_pullback("symmetry", m, m.form, m.tensor.data, T, rel)
 
 
 def tau(T):
@@ -261,16 +250,23 @@ def kernel_constraint_matrix(m: Model0):
     Derived by expanding A(T alpha_., ...) multilinearly: terms with two or
     more beta slots vanish identically, so the conditions are linear in b.
     """
+    return beta_shift_rows(_KERNEL_TUPLES, _BETA_IDX,
+                           lambda idx: m.tensor.value(*idx), [1] * 8)
+
+
+def beta_shift_rows(tuples, beta, value, weight):
+    """The 4-alpha components `tuples` linearised in the shifts alpha_i ->
+    alpha_i + sum_nu t_i^nu weight[nu] beta_nu: one row per tuple, column
+    8 i + nu summing weight[nu] value(idx) over the slots holding alpha_i,
+    with beta[nu] put in that slot."""
     rows = []
-    for tup in _KERNEL_TUPLES:
+    for tup in tuples:
         row = [Fraction(0)] * 24
-        for slot in range(4):
-            others = list(tup)
-            for nu, bidx in enumerate(_BETA_IDX):
-                idx = tuple(bidx if s == slot else others[s] for s in range(4))
-                v = m.tensor.value(*idx)
+        for slot, i in enumerate(tup):
+            for nu, b in enumerate(beta):
+                v = value(tup[:slot] + (b,) + tup[slot + 1:])
                 if v != 0:
-                    row[8 * tup[slot] + nu] += v
+                    row[8 * i + nu] += weight[nu] * v
         rows.append(row)
     return rows
 

@@ -142,6 +142,21 @@ def test_symmetry_bad_dilatation(capsys):
     assert "a1*a2*a3" in err
 
 
+@pytest.mark.parametrize("gen, message", [
+    ("swap12:5,7", "0 positional arguments but 2"),
+    ("swap13:1", "0 positional arguments but 1"),
+    ("rotation:3/5,4/5,9", "2 positional arguments but 3"),
+    ("reflection", "unknown generator 'reflection'"),
+])
+def test_symmetry_generator_parameters_are_checked(capsys, gen, message):
+    """A generator given more parameters than it takes, or an unknown one,
+    is a usage error: no verdict, exit 2."""
+    rc, payload, err = run(capsys, "symmetry", "m14", "--generator", gen)
+    assert rc == 2
+    assert payload is None
+    assert err.startswith("error: ") and message in err
+
+
 def test_symmetry_kernel_dim(capsys):
     rc, payload, _ = run(capsys, "symmetry", "m14", "--kernel-dim")
     assert rc == 0

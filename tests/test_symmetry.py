@@ -1,6 +1,7 @@
 """Symmetry group of the 14-dimensional model: explicit generators, the
 restriction to the alpha* block, and the 21-parameter kernel."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from jtcurv import (dilatation, is_symmetry, kernel_basis_b,
 from jtcurv import symmetry
 from jtcurv.expr import FnExpr
 from jtcurv.linalg import identity, mat_mul, rank, transpose
-from jtcurv.models import M14_LABELS
+from jtcurv.models import M14_LABELS, riemann_orbit
 from jtcurv.planewave import curvature_at
 from jtcurv.realizations import (build_M_A, build_M_Phi, normalize_basis_0,
                                  phi_family_specialized)
@@ -108,15 +109,17 @@ def test_pullback_identity(m14):
     T = identity(14)
     G = m14.form.entries
     assert mat_mul(transpose(T), mat_mul(G, T)) == G
-    assert pullback(dict(m14.full_entries), T) == m14.tensor.data
+    assert pullback(m14.tensor.data, T) == m14.tensor.data
 
 
 def assert_pullback_matches_reference(comps, T, rel=None):
-    """pullback(comps, T) equals the canonical part of the slot-by-slot
-    contraction: in value and type when rel is None, otherwise within rel
-    times the largest component."""
+    """pullback of the canonical components comps through T equals the
+    canonical part of the slot-by-slot contraction of their full orbit: in
+    value and type when rel is None, otherwise within rel times the largest
+    component."""
     got = pullback(comps, T)
-    want = canonical_part(pullback_reference(comps, T))
+    full = {tup: s * v for key, v in comps.items() for tup, s in riemann_orbit(key)}
+    want = canonical_part(pullback_reference(full, T))
     if rel is None:
         assert got == want
         assert {k: type(v) for k, v in got.items()} == \
@@ -138,18 +141,18 @@ GENERATORS = {
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_pullback_matches_slot_reference_on_generators(m14, name):
     T = GENERATORS[name]()
-    assert_pullback_matches_reference(dict(m14.full_entries), T)
+    assert_pullback_matches_reference(m14.tensor.data, T)
     floats = [[float(x) for x in row] for row in T]
-    assert_pullback_matches_reference(dict(m14.full_entries), floats, rel=1e-12)
+    assert_pullback_matches_reference(m14.tensor.data, floats, rel=1e-12)
 
 
 def test_pullback_matches_slot_reference_on_kernel_elements(m14):
     rng = random.Random(14)
     for _ in range(20):
         T = random_kernel_element(m14, rng)
-        assert_pullback_matches_reference(dict(m14.full_entries), T)
+        assert_pullback_matches_reference(m14.tensor.data, T)
         floats = [[float(x) for x in row] for row in T]
-        assert_pullback_matches_reference(dict(m14.full_entries), floats, rel=1e-12)
+        assert_pullback_matches_reference(m14.tensor.data, floats, rel=1e-12)
 
 
 def sparse_matrix(rng, n, density):
@@ -158,28 +161,38 @@ def sparse_matrix(rng, n, density):
             for _ in range(n)]
 
 
-def pair_antisymmetric_tensor(rng, n, count):
-    """A random tensor antisymmetric within each index pair, but not
-    symmetric under the exchange of the pairs."""
+def canonical_tensor(rng, n, count):
+    """Random nonzero components on count random canonical indices
+    i<j, k<l, (i,j) <= (k,l) of dimension n (no Bianchi identity)."""
+    pairs = list(itertools.combinations(range(n), 2))
     comps = {}
     for _ in range(count):
-        i, j, k, l = (rng.randrange(n) for _ in range(4))
-        if i == j or k == l:
-            continue
-        v = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        for (a, b), s in (((i, j), 1), ((j, i), -1)):
-            for (c, d), t in (((k, l), 1), ((l, k), -1)):
-                comps[a, b, c, d] = comps.get((a, b, c, d), 0) + s * t * v
-    return {idx: v for idx, v in comps.items() if v != 0}
+        p, q = sorted(rng.choices(pairs, k=2))
+        comps[p + q] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+    return comps
 
 
 def test_pullback_matches_slot_reference_on_random_sparse_matrices(m14):
     rng = random.Random(15)
     for _ in range(20):
         T = sparse_matrix(rng, 14, 0.15)
-        assert_pullback_matches_reference(dict(m14.full_entries), T)
-        comps = pair_antisymmetric_tensor(rng, 6, 12)
+        assert_pullback_matches_reference(m14.tensor.data, T)
+        comps = canonical_tensor(rng, 6, 12)
         assert_pullback_matches_reference(comps, sparse_matrix(rng, 6, 0.4))
+
+
+def test_pullbacks_compose(m14):
+    """Input and output share the canonical format, so pull-backs compose:
+    pulling back through T1 and then T2 is pulling back through T1 T2."""
+    rng = random.Random(18)
+    Ts = [make() for make in GENERATORS.values()]
+    Ts += [random_kernel_element(m14, rng) for _ in range(3)]
+    Ts += [sparse_matrix(rng, 14, 0.1) for _ in range(3)]
+    A = m14.tensor.data
+    for T1 in Ts:
+        A1 = pullback(A, T1)
+        for T2 in Ts:
+            assert pullback(A1, T2) == pullback(A, mat_mul(T1, T2))
 
 
 def test_pullback_matches_slot_reference_on_frames():
@@ -194,7 +207,7 @@ def test_pullback_matches_slot_reference_on_frames():
               for _ in range(3)]
     for M, P, rel in cases:
         T = transpose(normalize_basis_0(M, P).ordered())
-        assert_pullback_matches_reference(curvature_at(M, P).comps, T, rel)
+        assert_pullback_matches_reference(canonical_part(curvature_at(M, P).comps), T, rel)
 
 
 def form_witness_reference(m, T, rel=REL_TOL):

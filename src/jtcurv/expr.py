@@ -10,6 +10,12 @@ float.  A tree with no transcendental node that divides only by constants
 (``is_polynomial``) also evaluates at Poly arguments, which is how exact
 geodesic quadrature composes the warping functions with the affine x(t).
 
+At a point of floats, ``FnExpr.compiled`` (nested closures, built once per
+node) returns what ``eval`` returns, bit for bit and of the same type, and
+raises what it raises, when called.  A subtree with no variable is folded:
+it keeps its exact value at the top, and is float(value) under a node that
+reads a float, the conversion Fraction's mixed-type fallback makes there.
+
 The ``log`` node is not strictly needed for polynomial metrics but is what
 makes antiderivatives of reciprocal exponentials (needed for the phi
 families with phi' = rational function of e^t) expressible.
@@ -18,6 +24,7 @@ families with phi' = rational function of e^t) expressible.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .scalars import is_exact, scalar_from_json, scalar_to_json
@@ -47,10 +54,30 @@ def _cos(x):
     return Fraction(1) if x == 0 and not isinstance(x, float) else math.cos(x)
 
 
+# pow and / as functions, for the compiled path; eval inlines them, as the
+# tree walk is the hot path of exact data
+def _pow(a, k):
+    if k < 0 and a == 0:
+        raise EvalError("zero raised to a negative power")
+    return a ** k
+
+
+def _div(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+_UNARY = {"exp": _exp, "log": _log, "sin": _sin, "cos": _cos}
+#: the same functions on a float argument
+_FLOAT_UNARY = {**_UNARY, "exp": math.exp, "sin": math.sin, "cos": math.cos}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
+
+
 class FnExpr:
     """Immutable scalar expression in variables x1..xa (1-based indices)."""
 
-    __slots__ = ("op", "args", "value", "index", "_dcache")
+    __slots__ = ("op", "args", "value", "index", "_dcache", "_compiled")
 
     def __init__(self, op, args=(), value=None, index=None):
         self.op = op
@@ -58,6 +85,7 @@ class FnExpr:
         self.value = value
         self.index = index
         self._dcache = {}
+        self._compiled = None
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -167,6 +195,16 @@ class FnExpr:
                 raise EvalError("division by zero")
             return a / b
         raise ValueError(f"unknown op {op!r}")
+
+    def compiled(self):
+        """The tree as a closure for points of floats (module docstring),
+        built on first use and cached on the node: a pair (kind, f) with
+        f(x) == eval(x), of the same type, at every x whose entries are all
+        floats.  kind "float": f(x) is a float; "const": f ignores x and
+        returns an exact value, or a float constant; "any": no such promise."""
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
 
     def __call__(self, *point):
         return self.eval(point)
@@ -291,6 +329,130 @@ class FnExpr:
         if self.op in ("+", "-", "*", "/"):
             return f"({self.args[0]!r} {self.op} {self.args[1]!r})"
         return f"{self.op}({', '.join(map(repr, self.args))})"
+
+
+def _compile(e):
+    """(kind, f) of FnExpr.compiled, from the children's."""
+    if e.op == "const":
+        return "const", lambda x, v=e.value: v
+    if e.op == "var":
+        return "float", operator.itemgetter(e.index - 1)
+    kinds, fns = zip(*(g.compiled() for g in e.args))
+    if e.op == "compose":
+        if set(kinds[1:]) != {"float"}:
+            return "any", e.eval
+        outer, inner = fns[0], fns[1:]
+        return ("float" if kinds[0] == "float" else "any",
+                lambda x: outer([g(x) for g in inner]))
+    fn = (lambda a, k=e.value: _pow(a, k)) if e.op == "pow" else \
+        _UNARY.get(e.op) or _BINARY[e.op]
+    if "float" not in kinds:
+        try:
+            if "any" not in kinds:
+                v = fn(*[f(()) for f in fns])
+                return "const", lambda x: v
+        except (ArithmeticError, ValueError):
+            pass
+        return "any", lambda x: fn(*[f(x) for f in fns])
+    if len(fns) == 1:
+        f, fn = fns[0], _FLOAT_UNARY.get(e.op, fn)
+        return "float", lambda x: fn(f(x))
+    (ka, kb), (fa, fb) = kinds, fns
+    if ka == "const":
+        ca = _floated(fa(()))
+        return "float", lambda x: fn(ca, fb(x))
+    if kb == "const":
+        cb = _floated(fb(()))
+        return "float", lambda x: fn(fa(x), cb)
+    return "float", lambda x: fn(fa(x), fb(x))
+
+
+def _floated(v):
+    """float(v), the value Fraction's fallback gives v beside a float; v
+    itself when that overflows, so that the call raises as eval does."""
+    try:
+        return float(v)
+    except OverflowError:
+        return v
+
+
+# -- term lists: the entries of planewave's tables, sums of terms (coef, expr,
+# y), each coef * expr(x) * (P[y] if y is not None else 1) with x = P[:a]; a
+# partial by the coordinate dy keeps the terms with y == dy, without P[y]
+
+
+def terms_evaluator(P, a, plans=None):
+    """The sum of a term list at P, or its partial by the x indices xpartials
+    and the coordinate dy, as a function of (terms, xpartials=(), dy=None).
+    It walks the trees; at a point of floats, given a dict plans, it runs the
+    list's plan (_plan) instead, to the same value, built on first use and
+    held in plans by the list's id, with the list: the caller keeps plans no
+    longer than its lists."""
+    x = P[:a]
+
+    def walk(terms, xpartials=(), dy=None):
+        total = 0
+        for coef, expr, y in terms:
+            if dy is not None:
+                if y != dy:
+                    continue
+                y = None
+            for d in xpartials:
+                expr = expr.diff(d + 1)
+            if expr.is_zero_const():
+                continue
+            val = expr.eval(x)
+            # Fraction * float is float(Fraction) * float, without the fallback
+            val = float(coef) * val if isinstance(val, float) else coef * val
+            total += val if y is None else val * P[y]
+        return total
+    if plans is None or not all(type(c) is float for c in P):
+        return walk
+
+    def at(terms, xpartials=(), dy=None):
+        if not terms:
+            return 0
+        key = (id(terms), xpartials, dy)
+        hit = plans.get(key) or plans.setdefault(key, (terms, _plan(terms, xpartials, dy)))
+        if hit[1] is None:
+            return walk(terms, xpartials, dy)
+        total = 0
+        for c, f, y in hit[1]:
+            val = c if f is None else c * f(P)
+            total += val if y is None else val * P[y]
+        return total
+    return at
+
+
+def _plan(terms, xpartials, dy):
+    """The tree walk's sum at points of floats, term by term in its order:
+    a tuple of (c, f, y), the term being c * f(P), or c where f is None,
+    times P[y] unless y is None; None where a tree compiles to kind "any".
+    A term with no variable is multiplied by coef once, and made
+    float(value) where the walk converts it: beside a float P[y], or once
+    the sum is a float."""
+    plan, float_sum = [], False
+    for coef, expr, y in terms:
+        if dy is not None:
+            if y != dy:
+                continue
+            y = None
+        for d in xpartials:
+            expr = expr.diff(d + 1)
+        if expr.is_zero_const():
+            continue
+        kind, f = expr.compiled()
+        if kind == "any":
+            return None
+        if kind == "float":
+            plan.append((float(coef), f, y))
+            float_sum = True
+            continue
+        v = f(())
+        v = float(coef) * v if isinstance(v, float) else coef * v
+        float_sum = float_sum or y is not None or isinstance(v, float)
+        plan.append((_floated(v) if float_sum else v, None, y))
+    return tuple(plan)
 
 
 _ZERO = FnExpr.const(0)

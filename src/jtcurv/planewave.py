@@ -24,6 +24,11 @@ the only nonzero entries are
     Gamma^{y_mu}_{x_i x_j}  = -sum_nu C^{mu nu} psi_{ij,nu},
     Gamma^{x*_k}_{x_i y_nu} = psi_{ik,nu}.
 christoffel, the nabla^k R table below and the geodesic cascade read it.
+An entry is evaluated by expr.terms_evaluator: by walking its trees, or, at
+a point whose coordinates are all floats, by its plan, built from the
+compiled trees (FnExpr.compiled) on first use and held by the metric, which
+gives the same value bit for bit and of the same type.  Exact points, and
+points mixing floats with exact values, keep the tree walk.
 
 The curvature R(d_a, d_b, d_c, d_d) is held the same way, in the lazily
 built table ``PlaneWaveMetric.riemann``: riemann[key] lists terms of the same
@@ -69,7 +74,7 @@ import math
 import warnings
 from fractions import Fraction
 
-from .expr import FnExpr
+from .expr import FnExpr, _floated, terms_evaluator
 from .linalg import BilinearForm, mat_inv
 from .models import canonicalize_riemann, riemann_orbit
 from .poly import Poly
@@ -108,6 +113,7 @@ class PlaneWaveMetric:
         self._gamma = None
         self._riemann = None
         self._nabla = {}
+        self._plans = {}
 
     @property
     def n(self):
@@ -353,25 +359,6 @@ def metric_at(M: PlaneWaveMetric, P) -> BilinearForm:
     return BilinearForm(G)
 
 
-def _terms_at(terms, P, a, xpartials=(), dy=None):
-    """An entry of a term table (gamma, riemann, nabla_riemann), or its
-    partial by the x indices xpartials and by the y coordinate dy, at P."""
-    x = P[:a]
-    total = 0
-    for coef, expr, y in terms:
-        if dy is not None and y != dy:
-            continue
-        for d in xpartials:
-            expr = expr.diff(d + 1)
-        if expr.is_zero_const():
-            continue
-        val = expr.eval(x)
-        # Fraction * float is float(Fraction) * float, without the fallback
-        val = float(coef) * val if isinstance(val, float) else coef * val
-        total += val if y is None or dy is not None else val * P[y]
-    return total
-
-
 def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
     """Christoffel symbols of the second kind at P, read from the table
     M.gamma: comps[(u,v,f)] = Gamma^f_{uv}.  All symbols with an x* index
@@ -379,10 +366,11 @@ def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
     if kind != "second":
         raise ValueError(f"unknown Christoffel kind {kind!r}: only 'second'")
     P = tuple(P)
+    at = terms_evaluator(P, M.a, M._plans)
     comps = {}
     for (u, v), row in M.gamma.items():
         for f, terms in row.items():
-            val = _terms_at(terms, P, M.a)
+            val = at(terms)
             if not iszero(val):
                 comps[(u, v, f)] = comps[(v, u, f)] = val
     return CoordTensor(M.n, (2, 1), comps)
@@ -395,9 +383,10 @@ def christoffel(M: PlaneWaveMetric, P, kind="second") -> CoordTensor:
 def curvature_at(M: PlaneWaveMetric, P) -> CoordTensor:
     """R at P, read from the table M.riemann; full symmetric expansion."""
     P = tuple(P)
+    at = terms_evaluator(P, M.a, M._plans)
     comps = {}
     for key, terms in M.riemann.items():
-        v = _terms_at(terms, P, M.a)
+        v = at(terms)
         if not iszero(v):
             for tup, s in riemann_orbit(key):
                 comps[tup] = s * v
@@ -411,6 +400,7 @@ def _gamma2_sparse(M, P):
     for the partial with respect to coordinate w (no symbol depends on x*).
     """
     P = tuple(P)
+    at = terms_evaluator(P, M.a, M._plans)
     gam = {}
     dgam = {}
 
@@ -421,11 +411,11 @@ def _gamma2_sparse(M, P):
 
     for (u, v), row in M.gamma.items():
         for f, terms in row.items():
-            add(gam, u, v, f, _terms_at(terms, P, M.a))
+            add(gam, u, v, f, at(terms))
             for l in range(M.a):
-                add(dgam.setdefault(l, {}), u, v, f, _terms_at(terms, P, M.a, (l,)))
+                add(dgam.setdefault(l, {}), u, v, f, at(terms, (l,)))
             for y in sorted({t[2] for t in terms if t[2] is not None}):
-                add(dgam.setdefault(y, {}), u, v, f, _terms_at(terms, P, M.a, dy=y))
+                add(dgam.setdefault(y, {}), u, v, f, at(terms, dy=y))
     return gam, dgam
 
 
@@ -480,6 +470,7 @@ class _CovREngine:
         self.M = M
         self.P = tuple(P)
         self.memo = {}
+        self._at = terms_evaluator(self.P, M.a, M._plans)
 
     def value(self, idx4, dirs=()):
         key = (tuple(idx4), tuple(dirs))
@@ -492,7 +483,7 @@ class _CovREngine:
         canon, sign = canonicalize_riemann(idx4)
         if canon != idx4:
             return sign * self.value(canon, dirs) if canon else Fraction(0)
-        v = _terms_at(self.M.nabla_riemann(idx4, dirs), self.P, self.M.a)
+        v = self._at(self.M.nabla_riemann(idx4, dirs))
         # an empty sum is int 0, which turns into a float when divided
         return Fraction(v) if type(v) is int else v
 
@@ -651,7 +642,10 @@ class _Geodesic:
       _CHEB_CAP.  ``fit`` holds the degree and that relative tail (the
       larger of the two stages); a fit that stops at the cap is not
       ``converged`` and warns.  A parameter outside the interval rebuilds
-      both stages on the widened hull.
+      both stages on the widened hull.  The samples at each degree's new
+      nodes are taken in one batch, whose y series are summed in one
+      chebval call; the trees are read through their compiled closures
+      (FnExpr.compiled), which return what the tree walk does, bit for bit.
     P and v are held in the scalars of the path, Fraction or float.  Stages
     are built on first use; the y fit does not read the y velocities, so
     exp_inverse changes those (_restart_y) without fitting again.
@@ -673,9 +667,12 @@ class _Geodesic:
         self._contract(self.v)
 
     def _contract(self, v):
-        """Contract the table with v once: terms[f][(y, ydot)] lists (c, expr)
-        such that gamma''_f = sum over the groups of sum c * expr(x) times
-        gamma_y times gamma'_ydot, a factor being 1 when its index is None."""
+        """Contract the table with v once: terms[f][(y, ydot)] lists (c, fn)
+        such that gamma''_f = sum over the groups of sum c * fn(x) times
+        gamma_y times gamma'_ydot, a factor being 1 when its index is None;
+        fn is the tree's eval on exact data.  On float data, where c and x
+        are floats, it is the compiled closure (FnExpr.compiled), and a
+        variable-free tree gives float(value), which c * value converts to."""
         M = self.M
         self.terms = {}
         for (u, w), row in M.gamma.items():
@@ -686,8 +683,11 @@ class _Geodesic:
                 continue
             for f, terms in row.items():
                 for coef, expr, y in terms:
+                    kind, fn = (None, expr.eval) if self.exact else expr.compiled()
+                    if kind == "const":
+                        fn = lambda x, c=_floated(fn(())): c
                     self.terms.setdefault(f, {}).setdefault((y, ydot), []).append(
-                        (-coef * vel, expr))
+                        (-coef * vel, fn))
 
     def _F(self, f, x, pos=None, vel=None):
         """gamma''_f at the x coordinates x: y'' for a y coordinate f (_F),
@@ -695,7 +695,9 @@ class _Geodesic:
         and y_c'."""
         total = 0
         for (y, ydot), terms in self.terms.get(f, {}).items():
-            s = sum(c * expr.eval(x) for c, expr in terms)
+            s = 0
+            for c, fn in terms:
+                s += c * fn(x)
             if y is not None:
                 s = s * pos(y)
             if ydot is not None:
@@ -709,18 +711,20 @@ class _Geodesic:
         """The x coordinates at t."""
         return tuple(self.P[i] + t * self.v[i] for i in range(self.M.a))
 
-    def _y_row(self, s):
-        """y'' of every y coordinate at s."""
-        x = self._x_at(s)
-        return [self._F(f, x) for f in self._ys]
+    def _y_rows(self, ss):
+        """y'' of every y coordinate, one row for each s in ss."""
+        return [[self._F(f, x) for f in self._ys] for x in map(self._x_at, ss)]
 
-    def _xstar_row(self, s):
-        """x*'' of every x* coordinate at s, reading y and y' off the y stage."""
-        x = self._x_at(s)
-        ypos, yvel = self._series_at(s, self._ypos, self._yvel)
-        pos = dict(zip(self._ys, ypos)).__getitem__
-        vel = dict(zip(self._ys, yvel)).__getitem__
-        return [self._G(f, x, pos, vel) for f in self._xs]
+    def _xstar_rows(self, ss):
+        """x*'' of every x* coordinate, one row for each s in ss, reading y and
+        y' off the y stage, evaluated at all of ss at once."""
+        rows = []
+        for s, ypos, yvel in zip(ss, *self._series_at(ss, self._ypos, self._yvel)):
+            x = self._x_at(s)
+            pos = dict(zip(self._ys, ypos)).__getitem__
+            vel = dict(zip(self._ys, yvel)).__getitem__
+            rows.append([self._G(f, x, pos, vel) for f in self._xs])
+        return rows
 
     def _restart_y(self, v):
         """Start with the velocity v instead, which differs from the old one
@@ -732,7 +736,7 @@ class _Geodesic:
     def _y_at(self, t):
         """The y coordinates at t, from the y stage alone."""
         t, = self._cover((t,), xstar=False)
-        return self._series_at(t, self._ypos)[0]
+        return self._series_at([t], self._ypos)[0][0]
 
     def _cover(self, ts, xstar=True):
         """Check that every t in ts is finite, build what is missing of the
@@ -753,11 +757,11 @@ class _Geodesic:
                 self.span = (lo, lo + 1.0 if lo == hi else hi)
                 self._yacc = self._ypos = self._xpos = None
         if self._yacc is None:
-            self._yacc, self._yfit = self._fit(self._y_row, self.M.b)
+            self._yacc, self._yfit = self._fit(self._y_rows, self.M.b)
         if self._ypos is None:
             self._ypos, self._yvel = self._integrate(self._yacc, self._ys)
         if xstar and self._xpos is None:
-            self._xacc, xfit = self._fit(self._xstar_row, self.M.a)
+            self._xacc, xfit = self._fit(self._xstar_rows, self.M.a)
             self._xpos, self._xvel = self._integrate(self._xacc, self._xs)
             if not self.exact:
                 self.fit = {"cheb_degree": max(self._yfit[0], xfit[0]),
@@ -775,24 +779,25 @@ class _Geodesic:
         return self.fit.get("cheb_tail", 0.0) <= _CHEB_TOL
 
     # ---- the three primitives: exact (Poly) or float (Chebyshev series) ----
-    def _fit(self, row, width):
-        """The acceleration series of one stage, row(s) giving its `width`
-        accelerations at s, and the fit's (degree, relative tail): exact, the
-        Polys row gives at the Poly t (no degree or tail); float, Chebyshev
-        coefficients on self.span, one column per coordinate."""
+    def _fit(self, rows, width):
+        """The acceleration series of one stage, rows(ss) giving its `width`
+        accelerations at each s in ss, and the fit's (degree, relative tail):
+        exact, the Polys rows gives at the Poly t (no degree or tail); float,
+        Chebyshev coefficients on self.span, one column per coordinate, from
+        the samples at each degree's new nodes, taken in one call."""
         if self.exact:
-            return [Poly() + acc for acc in row(_T)], None
+            return [Poly() + acc for acc in rows([_T])[0]], None
         # numpy loads with the first float geodesic, not with the package
         import numpy as np
         lo, hi = self.span
         mid, half = (lo + hi) / 2, (hi - lo) / 2
 
-        def rows(n, js):
-            out = [row(mid + half * math.cos(math.pi * j / n)) for j in js]
+        def sample(n, js):
+            out = rows([mid + half * math.cos(math.pi * j / n) for j in js])
             return np.array(out, dtype=float).reshape(len(js), width)
 
         n = _CHEB_START
-        vals = rows(n, range(n + 1))
+        vals = sample(n, range(n + 1))
         while True:
             # Chebyshev coefficients of the interpolant at the Lobatto nodes
             # cos(pi j / n): a discrete cosine transform of the first kind
@@ -810,7 +815,7 @@ class _Geodesic:
             n *= 2
             grown = np.empty((n + 1, vals.shape[1]))
             grown[0::2] = vals
-            grown[1::2] = rows(n, range(1, n, 2))
+            grown[1::2] = sample(n, range(1, n, 2))
             vals = grown
 
     def _integrate(self, acc, coords):
@@ -830,28 +835,31 @@ class _Geodesic:
         pos[0] += [P[c] for c in coords]
         return pos, vel
 
-    def _series_at(self, t, *series):
-        """The values of each series at t, one list per series; at the Poly t
-        exact series are their own values."""
+    def _series_at(self, ts, *series):
+        """The values of each series at every t in ts, one list of rows (one
+        row per t) per series; at the Poly t exact series are their own
+        values.  Float series are summed at all of ts in one chebval call."""
         if self.exact:
-            return [list(s) if t is _T else [p.eval(t) for p in s] for s in series]
+            return [[list(s) if t is _T else [p.eval(t) for p in s] for t in ts]
+                    for s in series]
+        import numpy as np
         from numpy.polynomial.chebyshev import chebval
         lo, hi = self.span
-        u = (2 * t - lo - hi) / (hi - lo)
-        return [chebval(u, c).tolist() for c in series]
+        u = np.array([(2 * t - lo - hi) / (hi - lo) for t in ts])
+        return [chebval(u, c).T.tolist() for c in series]
 
     def at(self, t):
         if not self.exact and t == 0:
             return self.P
         t, = self._cover((t,))
-        xs, ys = self._series_at(t, self._xpos, self._ypos)
+        (xs,), (ys,) = self._series_at([t], self._xpos, self._ypos)
         return self._x_at(t) + tuple(xs) + tuple(ys)
 
     def velocity(self, t):
         if not self.exact and t == 0:
             return self.v
         t, = self._cover((t,))
-        xs, ys = self._series_at(t, self._xvel, self._yvel)
+        (xs,), (ys,) = self._series_at([t], self._xvel, self._yvel)
         vx = tuple(c if is_exact(t) else float(c) for c in self.v[:self.M.a])
         return vx + tuple(xs) + tuple(ys)
 
@@ -860,9 +868,9 @@ class _Geodesic:
         derivatives of the positions; on float data _F and _G at t."""
         t, = self._cover((t,))
         if self.exact:
-            xs, ys = self._series_at(t, self._xacc, self._yacc)
+            (xs,), (ys,) = self._series_at([t], self._xacc, self._yacc)
         else:
-            ys, xs = self._y_row(t), self._xstar_row(t)
+            (ys,), (xs,) = self._y_rows([t]), self._xstar_rows([t])
         zero = Fraction(0) if is_exact(t) else 0.0
         return (zero,) * self.M.a + tuple(xs) + tuple(ys)
 

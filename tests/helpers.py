@@ -8,10 +8,10 @@ import itertools
 from fractions import Fraction
 
 from jtcurv import realizations
-from jtcurv.expr import FnExpr
+from jtcurv.expr import FnExpr, terms_evaluator
 from jtcurv.models import (M14_LABELS, CheckReport, canonicalize_riemann,
                            riemann_orbit)
-from jtcurv.planewave import CoordTensor, _CovREngine, _terms_at, metric_at
+from jtcurv.planewave import CoordTensor, _CovREngine, metric_at
 from jtcurv.scalars import iszero
 from jtcurv.realizations import Y_PAIRS
 from jtcurv.scalars import REL_TOL, close, is_exact
@@ -311,6 +311,7 @@ class _NablaRReference:
         self.memo = {}
         self._gmemo = {}
         self.kind = [M.coord_kind(i) for i in range(M.n)]
+        self.walk = terms_evaluator(self.P, M.a)  # the tree walk, no plans
 
     def value(self, idx4, dirs=(), partials=()):
         """partial^(partials) of (nabla^(len(dirs)) R)(idx4; dirs) at P;
@@ -359,7 +360,7 @@ class _NablaRReference:
                         key = (e, s, f, p1)
                         gval = self._gmemo.get(key)
                         if gval is None:
-                            gval = self._gmemo[key] = _terms_at(terms, self.P, M.a, p1)
+                            gval = self._gmemo[key] = self.walk(terms, p1)
                         if gval == 0:
                             continue
                         if s_pos < 4:
@@ -380,7 +381,7 @@ class _NablaRReference:
             return Fraction(0)
         xpart = tuple(p for p in partials if self.kind[p] == "x")
         dy = next((p for p in partials if self.kind[p] == "y"), None)
-        return sign * _terms_at(terms, self.P, self.M.a, xpart, dy)
+        return sign * self.walk(terms, xpart, dy)
 
 
 def nabla_R_reference(M, P):

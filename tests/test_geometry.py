@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from jtcurv import planewave
-from jtcurv.expr import FnExpr
+from jtcurv.expr import FnExpr, terms_evaluator
 from jtcurv.linalg import BilinearForm
 from jtcurv.models import canonicalize_riemann, riemann_orbit
-from jtcurv.planewave import (CoordTensor, PlaneWaveMetric, _terms_at,
+from jtcurv.planewave import (CoordTensor, PlaneWaveMetric,
                               christoffel, covariant_derivative_R, curvature_at,
                               curvature_generic, exp_inverse, geodesic,
                               geodesic_fit, geodesic_residual,
@@ -183,16 +183,16 @@ def partials_upto_2(M):
 
 def table_partial(M, P, idx4, dirs, partials):
     """The partial by partials of (nabla^k R)(idx4; dirs) at P, read off the
-    table entry as sign * _terms_at(entry, P, a, xs, dy).  Entries read no
-    x* coordinate and are affine in y, so an x* partial or a second y
-    partial vanishes."""
+    table entry by the tree walk, sign * terms_evaluator(P, a)(entry, xs,
+    dy).  Entries read no x* coordinate and are affine in y, so an x*
+    partial or a second y partial vanishes."""
     kinds = [M.coord_kind(p) for p in partials]
     canon, sign = canonicalize_riemann(tuple(idx4))
     if canon is None or "x*" in kinds or kinds.count("y") > 1:
         return Fraction(0)
     xs = tuple(p for p, k in zip(partials, kinds) if k == "x")
     dy = next((p for p, k in zip(partials, kinds) if k == "y"), None)
-    return sign * _terms_at(M.nabla_riemann(canon, tuple(dirs)), P, M.a, xs, dy)
+    return sign * terms_evaluator(P, M.a)(M.nabla_riemann(canon, tuple(dirs)), xs, dy)
 
 
 def assert_table_matches_reference(M, P, rng, same):

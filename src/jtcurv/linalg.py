@@ -1,5 +1,6 @@
-"""Small exact linear algebra layer: dense matrices over Fraction (or float)
-and symmetric bilinear forms with congruence-based signature computation.
+"""Small exact linear algebra layer: dense matrices over Fraction (or float),
+symmetric bilinear forms with congruence-based signature computation, and
+the sparse coordinate tensors the plane-wave layer returns.
 
 Everything here is pure; matrices are plain lists of lists and are never
 mutated after construction by the public helpers.
@@ -152,6 +153,9 @@ class BilinearForm:
             for j in range(i):
                 if not close(self.entries[i][j], self.entries[j][i]):
                     raise ValueError("bilinear form matrix must be symmetric")
+        #: the inverse matrix, left to its first reader to fill (see
+        #: planewave.PlaneWaveMetric.cinv), so every holder of this form shares it
+        self.inv = None
 
     def __getitem__(self, ij):
         i, j = ij
@@ -223,3 +227,30 @@ class BilinearForm:
 
     def __repr__(self):
         return f"BilinearForm({self.entries!r})"
+
+
+class CoordTensor:
+    """Sparse tensor of coordinate components at a point.
+
+    valence (r, s): r tensor slots plus s covariant-derivative slots; comps
+    maps full index tuples of length r+s to values, zeros omitted.
+    """
+
+    def __init__(self, n, valence, comps=None):
+        self.n = n
+        self.valence = valence
+        self.comps = dict(comps or {})
+
+    def value(self, *idx):
+        if len(idx) != sum(self.valence):
+            raise ValueError("index arity does not match valence")
+        return self.comps.get(tuple(idx), Fraction(0))
+
+    def items(self):
+        return self.comps.items()
+
+    def is_zero(self):
+        return all(close(v, 0) for v in self.comps.values())
+
+    def max_abs(self):
+        return max((abs(v) for v in self.comps.values()), default=Fraction(0))

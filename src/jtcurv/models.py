@@ -48,16 +48,23 @@ def riemann_orbit(idx):
 
 
 def canonicalize_riemann(idx):
-    """Canonical (tuple, sign) for a Riemann-symmetric index 4-tuple.
+    """Canonical (tuple, sign) for a Riemann-symmetric index 4-tuple: the
+    lexicographically least tuple of riemann_orbit(idx) and its sign.
 
+    In closed form: sort each index pair, flipping the sign once per swap,
+    then put the smaller pair first (the pair swap keeps the sign).
     Returns (None, 0) when the symmetries force the component to vanish
     (repeated index within an antisymmetric pair).
     """
     i, j, k, l = idx
     if i == j or k == l:
         return None, 0
-    best, sign = min(riemann_orbit(idx), key=lambda t: t[0])
-    return best, sign
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -sign
+    if k > l:
+        k, l, sign = l, k, -sign
+    return ((k, l, i, j) if (k, l) < (i, j) else (i, j, k, l)), sign
 
 
 class CurvatureTensor:

@@ -47,6 +47,14 @@ symmetry image of these or vanishes.  curvature_at, the nabla^k R table and
 verify_0_model read it.  curvature_generic assembles R from the gamma table
 instead (dGamma + Gamma Gamma), so it checks both tables.
 
+Both tables are built from the live psi only: PlaneWaveMetric.live gives the
+mu at which psi_{ij,mu} is not the zero constant, for each index pair, found
+once per metric.  gamma and riemann run the sums above in their nesting order
+over the union of the live mu of the pairs a term reads, so every list gets
+the terms of a loop over all mu, in the same order, and no zero is built.
+The C^{-1} they read is computed once per C form and held on it, which the
+two realization families share.
+
 nabla^k R is a third table of that format, PlaneWaveMetric.nabla_riemann(key,
 dirs): one entry per canonical key and k directions (innermost first), each
 built on first use from order k - 1, with (nabla^k R)(idx; dirs) = sign *
@@ -57,7 +65,10 @@ with e = dirs[-1], k = 0 is the riemann entry; e of y type keeps the terms
 carrying y_e, without that factor (its Gamma terms raise an index to x*,
 where R vanishes); e of x type takes d_e of every term and subtracts, for
 each slot s of x type, the y-free Gamma^{y_mu}_{e s} times the order k - 1
-entry with y_mu in slot s.  _CovREngine evaluates the table at a point.
+entry with y_mu in slot s.  Once key + dirs[:-1] holds a y index, the entry
+returns before that Gamma sweep: each substitution would add a second y
+index, whose entry the support rule empties.  _CovREngine evaluates the
+table at a point.
 The coordinate scans (covariant_derivative_R, first_nonzero_component) run
 over the canonical entries the support rule allows, each evaluated once and
 expanded over the orbit of its key; on tangent vectors, nabla_R_contract is
@@ -75,10 +86,10 @@ import warnings
 from fractions import Fraction
 
 from .expr import FnExpr, _floated, terms_evaluator
-from .linalg import BilinearForm, mat_inv
+from .linalg import BilinearForm, CoordTensor, mat_inv
 from .models import canonicalize_riemann, riemann_orbit
 from .poly import Poly
-from .scalars import (close, is_exact, iszero, pair_keys, scalar_from_json,
+from .scalars import (is_exact, iszero, pair_keys, scalar_from_json,
                       scalar_to_json)
 from .symmetry import wedge
 
@@ -92,7 +103,7 @@ class PlaneWaveMetric:
         self.C = C if isinstance(C, BilinearForm) else BilinearForm(C)
         if self.C.n != b:
             raise ValueError("C must be b x b")
-        self.psi = {}
+        self.psi, self._live = {}, {}
         for (i, j), fns in psi.items():
             name = f"psi entry {i + 1},{j + 1}"
             if not (0 <= i < a and 0 <= j < a):
@@ -109,7 +120,7 @@ class PlaneWaveMetric:
             if key in self.psi and self.psi[key] is not fns:
                 raise ValueError(f"duplicate psi entry for {key}")
             self.psi[key] = fns
-        self._cinv = None
+            self._live[key] = {mu for mu, f in enumerate(fns) if not f.is_zero_const()}
         self._gamma = None
         self._riemann = None
         self._nabla = {}
@@ -121,9 +132,14 @@ class PlaneWaveMetric:
 
     @property
     def cinv(self):
-        if self._cinv is None:
-            self._cinv = mat_inv(self.C.entries)
-        return self._cinv
+        """C^-1, computed once per form object and held on it (BilinearForm.inv):
+        metrics built on one form (realizations._c_block) share one inverse,
+        and a float C and an exact C of equal values, two forms, each get
+        their own."""
+        C = self.C
+        if C.inv is None:
+            C.inv = mat_inv(C.entries)
+        return C.inv
 
     @property
     def gamma(self):
@@ -139,17 +155,19 @@ class PlaneWaveMetric:
             for i in range(a):
                 for j in range(i, a):
                     for k in range(a):
-                        for mu in range(b):
-                            put(i, j, self.xsi(k), 1, self.dpsi(j, k, mu, (i,)), self.yi(mu))
-                            put(i, j, self.xsi(k), 1, self.dpsi(i, k, mu, (j,)), self.yi(mu))
-                            put(i, j, self.xsi(k), -1, self.dpsi(i, j, mu, (k,)), self.yi(mu))
+                        for mu in self.live((j, k), (i, k), (i, j)):
+                            y = 2 * a + mu
+                            put(i, j, a + k, 1, self.dpsi(j, k, mu, (i,)), y)
+                            put(i, j, a + k, 1, self.dpsi(i, k, mu, (j,)), y)
+                            put(i, j, a + k, -1, self.dpsi(i, j, mu, (k,)), y)
+                    nus = self.live((i, j))
                     for mu in range(b):
-                        for nu in range(b):
+                        for nu in nus:
                             if self.cinv[mu][nu] != 0:
-                                put(i, j, self.yi(mu), -self.cinv[mu][nu], self.psi_fn(i, j, nu))
-                for nu in range(b):
+                                put(i, j, 2 * a + mu, -self.cinv[mu][nu], self.psi_fn(i, j, nu))
+                for nu in self.live(*((i, k) for k in range(a))):
                     for k in range(a):
-                        put(i, self.yi(nu), self.xsi(k), 1, self.psi_fn(i, k, nu))
+                        put(i, 2 * a + nu, a + k, 1, self.psi_fn(i, k, nu))
             self._gamma = tbl
         return self._gamma
 
@@ -157,7 +175,7 @@ class PlaneWaveMetric:
     def riemann(self):
         """The curvature table described in the module docstring."""
         if self._riemann is None:
-            a, b = self.a, self.b
+            a = self.a
             tbl = {}
 
             def put(idx, coef, expr, y=None):
@@ -173,22 +191,23 @@ class PlaneWaveMetric:
             pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
             for n, (i, j) in enumerate(pairs):
                 for k in range(a):
-                    for nu in range(b):
-                        idx = (i, j, k, self.yi(nu))
+                    for nu in self.live((j, k), (i, k)):
+                        idx = (i, j, k, 2 * a + nu)
                         put(idx, -1, self.dpsi(j, k, nu, (i,)))
                         put(idx, 1, self.dpsi(i, k, nu, (j,)))
                 for k, l in pairs[n:]:
                     idx = (i, j, k, l)
-                    for nu in range(b):
-                        for mu in range(b):
+                    mus = self.live((i, k), (i, l))
+                    for nu in self.live((j, l), (j, k)):
+                        for mu in mus:
                             c = self.cinv[nu][mu]
                             if c != 0:
                                 put(idx, c, product(self.psi_fn(i, k, mu),
                                                     self.psi_fn(j, l, nu)))
                                 put(idx, -c, product(self.psi_fn(i, l, mu),
                                                      self.psi_fn(j, k, nu)))
-                    for nu in range(b):
-                        y = self.yi(nu)
+                    for nu in self.live((j, l), (i, k), (j, k), (i, l)):
+                        y = 2 * a + nu
                         put(idx, 1, self.dpsi(j, l, nu, (i, k)), y)
                         put(idx, 1, self.dpsi(i, k, nu, (j, l)), y)
                         put(idx, -1, self.dpsi(j, k, nu, (i, l)), y)
@@ -211,27 +230,28 @@ class PlaneWaveMetric:
         return len(far) > 1 or any(t < 2 * self.a for t in far)
 
     def _nabla_entry(self, key, dirs):
-        kind = self.coord_kind
         if self.outside_support(key + dirs):
             return []
         if not dirs:
             return self.riemann.get(key, [])
         e, rest = dirs[-1], dirs[:-1]
         prev = self.nabla_riemann(key, rest)
-        if kind(e) == "y":
+        if self.coord_kind(e) == "y":
             return [(coef, expr, None) for coef, expr, y in prev if y == e]
         out = [(coef, d, y) for coef, expr, y in prev
                if not (d := expr.diff(e + 1)).is_zero_const()]
         slots = key + rest
+        if max(slots) >= self.a:
+            # a y index (x* is outside the support): every Gamma^{y_mu}
+            # substitution below would add a second one
+            return out
         for pos, s in enumerate(slots):
-            if kind(s) != "x":
-                continue
             for f, gterms in self.gamma.get((min(e, s), max(e, s)), {}).items():
-                if kind(f) != "y":
+                if self.coord_kind(f) != "y":
                     continue
                 new = slots[:pos] + (f,) + slots[pos + 1:]
                 sub, sign = canonicalize_riemann(new[:4])
-                terms = self.nabla_riemann(sub, new[4:]) if sub else []
+                terms = self.nabla_riemann(sub, new[4:])
                 out += [(-sign * gc * coef, gexpr * expr, y)
                         for gc, gexpr, _ in gterms for coef, expr, y in terms]
         return out
@@ -269,6 +289,12 @@ class PlaneWaveMetric:
             and all(f.is_polynomial() for fns in self.psi.values() for f in fns)
 
     # -- psi access -----------------------------------------------------
+    def live(self, *pairs):
+        """The mu, increasing, at which psi_{ij,mu} is not the zero constant
+        for some index pair (i, j) in pairs: the live psi, which alone put
+        terms in the gamma and riemann tables."""
+        return sorted(set().union(*(self._live.get((min(p), max(p)), ()) for p in pairs)))
+
     def psi_fn(self, i, j, mu):
         fns = self.psi.get((min(i, j), max(i, j)))
         return fns[mu] if fns else None
@@ -290,11 +316,8 @@ class PlaneWaveMetric:
 
     # -- serialization --------------------------------------------------
     def to_json(self):
-        psi = {}
-        for (i, j), fns in sorted(self.psi.items()):
-            if all(f.is_zero_const() for f in fns):
-                continue
-            psi[f"{i + 1},{j + 1}"] = [f.to_json() for f in fns]
+        psi = {f"{i + 1},{j + 1}": [f.to_json() for f in fns]
+               for (i, j), fns in sorted(self.psi.items()) if self._live[i, j]}
         return {"a": self.a, "b": self.b,
                 "C": [[scalar_to_json(x) for x in row] for row in self.C.entries],
                 "psi": psi}
@@ -305,33 +328,6 @@ class PlaneWaveMetric:
         psi = {(i - 1, j - 1): [FnExpr.from_json(f) for f in fns]
                for (i, j), fns in pair_keys(obj.get("psi", {})).items()}
         return PlaneWaveMetric(int(obj["a"]), int(obj["b"]), C, psi)
-
-
-class CoordTensor:
-    """Sparse tensor of coordinate components at a point.
-
-    valence (r, s): r tensor slots plus s covariant-derivative slots; comps
-    maps full index tuples of length r+s to values, zeros omitted.
-    """
-
-    def __init__(self, n, valence, comps=None):
-        self.n = n
-        self.valence = valence
-        self.comps = dict(comps or {})
-
-    def value(self, *idx):
-        if len(idx) != sum(self.valence):
-            raise ValueError("index arity does not match valence")
-        return self.comps.get(tuple(idx), Fraction(0))
-
-    def items(self):
-        return self.comps.items()
-
-    def is_zero(self):
-        return all(close(v, 0) for v in self.comps.values())
-
-    def max_abs(self):
-        return max((abs(v) for v in self.comps.values()), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,18 @@ def _model(build):
 
 
 def _c_block():
-    """The 8x8 inner-product block of the y coordinates (model beta block)."""
-    G = _model(build_m14).form.entries
+    """The 8x8 inner-product block of the y coordinates (model beta block),
+    one BilinearForm per model build function, shared by every M_A and M_Phi
+    built on it, so the form holds the one inverse they all read
+    (PlaneWaveMetric.cinv)."""
+    return _beta_form(build_m14)
+
+
+@functools.cache
+def _beta_form(build):
+    G = _model(build).form.entries
     beta = [M14_LABELS.index(name) for name in BETA_LABELS]
-    return [[G[i][j] for j in beta] for i in beta]
+    return BilinearForm([[G[i][j] for j in beta] for i in beta])
 
 
 class PhiFamily:

@@ -502,3 +502,132 @@ def canonical_part(comps):
     """The entries of comps on the canonical indices u<v, w<z, (u,v) <= (w,z)."""
     return {idx: v for idx, v in comps.items()
             if idx[0] < idx[1] and idx[2] < idx[3] and idx[:2] <= idx[2:]}
+
+
+# ---------------------------------------------------------------------------
+# the tables of a plane-wave metric built by dense loops over every index
+
+
+def canonicalize_riemann_reference(idx):
+    """The least (tuple, sign) of the symmetry orbit of idx, or (None, 0)
+    when a pair repeats an index."""
+    i, j, k, l = idx
+    if i == j or k == l:
+        return None, 0
+    return min(riemann_orbit(idx), key=lambda t: t[0])
+
+
+def gamma_reference(M):
+    """PlaneWaveMetric.gamma by loops over every x index and every mu, dead
+    psi included: the put order of the table."""
+    a, b = M.a, M.b
+    tbl = {}
+
+    def put(u, v, f, coef, expr, y=None):
+        if expr is not None and not expr.is_zero_const():
+            tbl.setdefault((u, v), {}).setdefault(f, []).append((coef, expr, y))
+
+    for i in range(a):
+        for j in range(i, a):
+            for k in range(a):
+                for mu in range(b):
+                    put(i, j, M.xsi(k), 1, M.dpsi(j, k, mu, (i,)), M.yi(mu))
+                    put(i, j, M.xsi(k), 1, M.dpsi(i, k, mu, (j,)), M.yi(mu))
+                    put(i, j, M.xsi(k), -1, M.dpsi(i, j, mu, (k,)), M.yi(mu))
+            for mu in range(b):
+                for nu in range(b):
+                    if M.cinv[mu][nu] != 0:
+                        put(i, j, M.yi(mu), -M.cinv[mu][nu], M.psi_fn(i, j, nu))
+        for nu in range(b):
+            for k in range(a):
+                put(i, M.yi(nu), M.xsi(k), 1, M.psi_fn(i, k, nu))
+    return tbl
+
+
+def riemann_reference(M):
+    """PlaneWaveMetric.riemann by loops over every x index and every mu (and
+    nu), dead psi included, keyed by canonicalize_riemann_reference."""
+    a, b = M.a, M.b
+    tbl = {}
+
+    def put(idx, coef, expr, y=None):
+        if expr is not None and not expr.is_zero_const():
+            key, sign = canonicalize_riemann_reference(idx)
+            tbl.setdefault(key, []).append((sign * coef, expr, y))
+
+    def product(f, g):
+        if f is None or g is None or f.is_zero_const() or g.is_zero_const():
+            return None
+        return f * g
+
+    pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    for n, (i, j) in enumerate(pairs):
+        for k in range(a):
+            for nu in range(b):
+                idx = (i, j, k, M.yi(nu))
+                put(idx, -1, M.dpsi(j, k, nu, (i,)))
+                put(idx, 1, M.dpsi(i, k, nu, (j,)))
+        for k, l in pairs[n:]:
+            idx = (i, j, k, l)
+            for nu in range(b):
+                for mu in range(b):
+                    c = M.cinv[nu][mu]
+                    if c != 0:
+                        put(idx, c, product(M.psi_fn(i, k, mu), M.psi_fn(j, l, nu)))
+                        put(idx, -c, product(M.psi_fn(i, l, mu), M.psi_fn(j, k, nu)))
+            for nu in range(b):
+                y = M.yi(nu)
+                put(idx, 1, M.dpsi(j, l, nu, (i, k)), y)
+                put(idx, 1, M.dpsi(i, k, nu, (j, l)), y)
+                put(idx, -1, M.dpsi(j, k, nu, (i, l)), y)
+                put(idx, -1, M.dpsi(i, l, nu, (j, k)), y)
+    return tbl
+
+
+def nabla_entries_reference(M):
+    """PlaneWaveMetric.nabla_riemann without the return ahead of the Gamma
+    sweep: every Gamma^{y_mu} substitution is made, also those that land
+    on two y indices and read an empty entry.  Reads M.riemann and M.gamma;
+    returns entry(key, dirs), whose entries are kept in entry.memo."""
+    kind = M.coord_kind
+
+    def entry(key, dirs):
+        terms = entry.memo.get((key, dirs))
+        if terms is None:
+            terms = entry.memo[(key, dirs)] = build(key, dirs)
+        return terms
+
+    def build(key, dirs):
+        if M.outside_support(key + dirs):
+            return []
+        if not dirs:
+            return M.riemann.get(key, [])
+        e, rest = dirs[-1], dirs[:-1]
+        prev = entry(key, rest)
+        if kind(e) == "y":
+            return [(coef, expr, None) for coef, expr, y in prev if y == e]
+        out = [(coef, d, y) for coef, expr, y in prev
+               if not (d := expr.diff(e + 1)).is_zero_const()]
+        slots = key + rest
+        for pos, s in enumerate(slots):
+            if kind(s) != "x":
+                continue
+            for f, gterms in M.gamma.get((min(e, s), max(e, s)), {}).items():
+                if kind(f) != "y":
+                    continue
+                new = slots[:pos] + (f,) + slots[pos + 1:]
+                sub, sign = canonicalize_riemann_reference(new[:4])
+                terms = entry(sub, new[4:]) if sub else []
+                out += [(-sign * gc * coef, gexpr * expr, y)
+                        for gc, gexpr, _ in gterms for coef, expr, y in terms]
+        return out
+
+    entry.memo = {}
+    return entry
+
+
+def terms_signature(terms):
+    """A term list as compared by the table-identity tests: per term the
+    coefficient's repr (its value, a float's to the bit) and type, repr of
+    the expression, and y."""
+    return [(repr(coef), type(coef), repr(expr), y) for coef, expr, y in terms]

@@ -18,7 +18,7 @@ from jtcurv.models import (M14_LABELS, PROPERTY_KINDS, canonicalize_riemann,
                            riemann_orbit)
 from jtcurv.scalars import iszero
 
-from helpers import dense
+from helpers import canonicalize_riemann_reference, dense
 
 HALF = Fraction(1, 2)
 
@@ -35,6 +35,15 @@ def vec(m, *terms):
 # orbit bookkeeping
 
 idx_st = st.tuples(*[st.integers(min_value=0, max_value=5)] * 4)
+
+
+def test_canonicalize_riemann_is_the_orbit_minimum():
+    """The closed form returns the least signed tuple of the orbit, with an
+    int sign, on every index 4-tuple over the 14 coordinates of the model,
+    the (None, 0) cases included."""
+    for idx in itertools.product(range(14), repeat=4):
+        got, want = canonicalize_riemann(idx), canonicalize_riemann_reference(idx)
+        assert got == want and type(got[1]) is int, (idx, got, want)
 
 
 @given(idx_st)

@@ -119,12 +119,6 @@ def cmd_check_model(args):
                   "signature": [p, q]}, checks)
 
 
-def _det3(T):
-    return (T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
-            - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
-            + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0]))
-
-
 #: the --generator names; a generator raises TypeError on surplus parameters
 _GENERATORS = {"swap12": symmetry.swap_first_second, "swap13": symmetry.swap_first_third,
                "rotation": symmetry.rotation, "dilatation": symmetry.dilatation}
@@ -165,7 +159,7 @@ def cmd_symmetry(args):
         checks.append(rep)
         tau = symmetry.tau(T)
         obj["tau"] = tau
-        obj["det_tau"] = _det3(tau)
+        obj["det_tau"] = symmetry.det3(tau)
     if not checks:
         raise UsageError("nothing to do: pass --generator, --kernel-random "
                          "or --kernel-dim")

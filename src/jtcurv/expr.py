@@ -96,8 +96,8 @@ class FnExpr:
 
     @staticmethod
     def var(i):
-        if i < 1:
-            raise ValueError("variable indices are 1-based")
+        if type(i) is not int or i < 1:
+            raise ValueError(f"variable indices are ints from 1, got {i!r}")
         return FnExpr("var", index=i)
 
     @staticmethod
@@ -304,19 +304,25 @@ class FnExpr:
 
     @staticmethod
     def from_json(obj):
+        """The tree to_json writes; ValueError on an unknown op, a wrong
+        argument count, or a variable index or exponent that is not an int."""
         if isinstance(obj, dict) and "var" in obj:
-            return FnExpr.var(int(obj["var"]))
+            return FnExpr.var(obj["var"])
         if isinstance(obj, dict) and "op" in obj:
-            op = obj["op"]
+            op, args = str(obj["op"]), obj.get("args")
+            arity = 1 if op in _UNARY else 2 if op in _BINARY or op == "pow" else None
+            if arity is None and op != "compose":
+                raise ValueError(f"unknown op {op!r}")
+            if not isinstance(args, list) or not args or arity and len(args) != arity:
+                raise ValueError(f"op {op!r} takes {arity or 'one or more'} arguments")
             if op == "pow":
-                return FnExpr("pow", (FnExpr.from_json(obj["args"][0]),),
-                              value=int(obj["args"][1]))
-            args = tuple(FnExpr.from_json(a) for a in obj["args"])
+                if type(args[1]) is not int:
+                    raise ValueError(f"exponent must be an int, got {args[1]!r}")
+                return FnExpr("pow", (FnExpr.from_json(args[0]),), value=args[1])
+            args = tuple(FnExpr.from_json(a) for a in args)
             if op == "compose":
                 return FnExpr.compose(*args)
-            if op in ("+", "-", "*", "/", "exp", "log", "sin", "cos"):
-                return FnExpr(op, args)
-            raise ValueError(f"unknown op {op!r}")
+            return FnExpr(op, args)
         return FnExpr.const(scalar_from_json(obj))
 
     def __repr__(self):

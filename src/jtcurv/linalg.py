@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import as_divisor, close, is_exact
+from .scalars import as_divisor, close, iszero
 
 
 class DegenerateFormError(ValueError):
@@ -47,10 +47,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _pivot_ok(x):
-    return (x != 0) if is_exact(x) else abs(x) > 1e-12
-
-
 def _pivot_row(M, col, start):
     """Pivot row for column col among rows start..: the first nonzero entry
     when the column is exact; once it holds a float, the entry largest in
@@ -59,7 +55,7 @@ def _pivot_row(M, col, start):
     rows = range(start, len(M))
     if any(isinstance(M[r][col], float) for r in rows):
         piv = max(rows, key=lambda r: abs(M[r][col]))
-        return piv if _pivot_ok(M[piv][col]) else None
+        return None if iszero(M[piv][col]) else piv
     return next((r for r in rows if M[r][col] != 0), None)
 
 
@@ -186,16 +182,16 @@ class BilinearForm:
         n = self.n
         p = q = 0
         for k in range(n):
-            if not _pivot_ok(M[k][k]):
+            if iszero(M[k][k]):
                 # search a later diagonal pivot
-                swap = next((r for r in range(k + 1, n) if _pivot_ok(M[r][r])), None)
+                swap = next((r for r in range(k + 1, n) if not iszero(M[r][r])), None)
                 if swap is not None:
                     for r in range(n):
                         M[r][k], M[r][swap] = M[r][swap], M[r][k]
                     M[k], M[swap] = M[swap], M[k]
                 else:
                     # fully isotropic diagonal: fold an off-diagonal entry in
-                    off = next((c for c in range(k + 1, n) if _pivot_ok(M[k][c])), None)
+                    off = next((c for c in range(k + 1, n) if not iszero(M[k][c])), None)
                     if off is None:
                         raise DegenerateFormError("degenerate bilinear form")
                     for r in range(n):

@@ -20,7 +20,8 @@ from .planewave import (PlaneWaveMetric, _CovREngine, first_nonzero_component,
 from .planewave import nabla_R_frame  # noqa: F401 (bench/tracing.py patches it here)
 from .scalars import (REL_TOL, close, iszero, pair_keys, scalar_from_json,
                       scalar_to_json)
-from .symmetry import BETA_LABELS, beta_shift_rows, check_pullback
+from .symmetry import (_KERNEL_TUPLES, BETA_LABELS, beta_shift_rows,
+                       check_pullback)
 
 #: y-coordinate order: the (i,j) pair labels of the eight y's, which are
 #: the model's beta directions b_{i,j} in basis order
@@ -225,10 +226,6 @@ _LAMBDA_PATTERNS = [
     ((1, 2), (0, 1, 1)), ((1, 1), (0, 2, 2)), ((2, 2), (1, 2, 2)),
 ]
 
-#: a spanning set of the independent 4-alpha curvature components
-_XXXX_BASIS = [(0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2),
-               (0, 1, 0, 2), (0, 1, 1, 2), (0, 2, 1, 2)]
-
 
 def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
     """Frame at P reproducing the 14-dimensional model exactly.
@@ -257,8 +254,8 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
         lam[mu] = Fraction(1) / r
 
     # stage two: t[i][mu] coefficients from a linear solve
-    rows = beta_shift_rows(_XXXX_BASIS, [M.yi(mu) for mu in range(8)], eng.value, lam)
-    rhs = [-eng.value(tup) for tup in _XXXX_BASIS]
+    rows = beta_shift_rows(_KERNEL_TUPLES, [M.yi(mu) for mu in range(8)], eng.value, lam)
+    rhs = [-eng.value(tup) for tup in _KERNEL_TUPLES]
     tflat = solve(rows, rhs)
     t = [tflat[8 * i:8 * (i + 1)] for i in range(3)]
 

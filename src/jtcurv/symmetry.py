@@ -1,6 +1,6 @@
 """Symmetry group of a 0-model, specialized helpers for the 14-dimensional
-model: explicit generators covering SL_pm(3) on the alpha* block, the
-restriction homomorphism tau, and the 21-parameter kernel of tau.
+model: the lift of SL_pm(3) and its four named generators, the restriction
+homomorphism tau, and the 21-parameter kernel of tau.
 
 Matrices act on column vectors; column j of T holds the image of basis
 vector e_j.
@@ -15,11 +15,22 @@ wedge rows W[(i,j)][(u,v)] = T_iu T_jv - T_ju T_iv for pairs i<j, u<v:
     A'(uv, wz) = sum over pairs p, q of W[p][uv] A(p, q) W[q][wz].
 
 Only the entries u <= v are formed, so only the canonical components of A'.
+
+Group structure.  With beta_nu identified with the trace-free matrix X_nu
+of _BETA_MATRICES, lift(g) for g in SL_pm(3) acts as g on the alphas, as
+g^-t on the alpha*s and as det(g) Ad(g) on the betas (without the det twist
+no identification intertwines the four generators).  lift is a homomorphism
+and tau(lift(g)) = g^-t, so the symmetries that preserve span(alpha*) with
+det tau = +-1 are ker tau x| lift(SL_pm(3)), of Lie algebra dimension
+8 + 21 = 29: sl(3), and the b (18) and skew c (3) parameters of
+kernel_element.  That every symmetry is one of these is the paper's claim,
+not computed here.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 from .linalg import nullspace_basis, transpose
@@ -31,44 +42,66 @@ _LAB = {name: i for i, name in enumerate(M14_LABELS)}
 #: column order of the b-coefficient variables (the nu index of beta_nu)
 BETA_LABELS = tuple(name for name in M14_LABELS if name.startswith("b"))
 _BETA_IDX = [_LAB[b] for b in BETA_LABELS]
+_ALPHA = [_LAB["a1"], _LAB["a2"], _LAB["a3"]]
+_STAR = [_LAB["a1*"], _LAB["a2*"], _LAB["a3*"]]
+
+_HALF = Fraction(1, 2)
+#: X_nu, in BETA_LABELS order, as {(p, q): x} over the 0-based matrix units:
+#: E23, -E32, E31, -E13, -E21, E12, (E33 - E22) / 2 and (E11 - E33) / 2
+_BETA_MATRICES = ({(1, 2): 1}, {(2, 1): -1}, {(2, 0): 1}, {(0, 2): -1},
+                  {(1, 0): -1}, {(0, 1): 1}, {(2, 2): _HALF, (1, 1): -_HALF},
+                  {(0, 0): _HALF, (2, 2): -_HALF})
+#: each X_nu has one entry x off (2, 2), where no other X_mu has one, so the
+#: beta_nu coordinate of a trace-free Y is Y there over x: {(r, s): (nu, 1/x)}
+_BETA_READ = {rs: (nu, int(1 / Fraction(x))) for nu, X in enumerate(_BETA_MATRICES)
+              for rs, x in X.items() if rs != (2, 2)}
 
 
-def _matrix_from_map(mapping):
-    """14x14 matrix from a dict label -> list of (coeff, label) image terms."""
-    n = len(M14_LABELS)
-    T = [[Fraction(0)] * n for _ in range(n)]
-    for src, terms in mapping.items():
-        j = _LAB[src]
-        for coeff, dst in terms:
-            T[_LAB[dst]][j] += coeff
-    for name in M14_LABELS:
-        if name not in mapping:
-            T[_LAB[name]][_LAB[name]] = Fraction(1)
+def _cofactors(g):
+    """(C, det g) for a 3x3 matrix g, C = det(g) g^-t its cofactor matrix,
+    each sign from the cyclic order of rows and columns."""
+    C = [[g[(i + 1) % 3][(j + 1) % 3] * g[(i + 2) % 3][(j + 2) % 3]
+          - g[(i + 1) % 3][(j + 2) % 3] * g[(i + 2) % 3][(j + 1) % 3]
+          for j in range(3)] for i in range(3)]
+    return C, sum(g[0][j] * C[0][j] for j in range(3))
+
+
+def det3(g):
+    """Determinant of a 3x3 matrix, expanded along its first row."""
+    return _cofactors(g)[1]
+
+
+def lift(g):
+    """The symmetry over g in SL_pm(3) (module docstring): alpha_j ->
+    sum_i g_ij alpha_i, alpha* block g^-t = det(g) C, and beta_nu ->
+    det(g) g X_nu g^-1 = g X_nu C^t, as det(g) = +-1; no elimination runs.
+    Zeros stay Fraction(0), and exact g gives Fraction entries."""
+    C, det = _cofactors(g)
+    if not close(abs(det), 1):
+        raise ValueError("lift requires det g = 1 or -1")
+    acc = {}
+    for i, j in itertools.product(range(3), repeat=2):
+        _add(acc, (_ALPHA[i], _ALPHA[j]), g[i][j])
+        _add(acc, (_STAR[i], _STAR[j]), C[i][j] if det > 0 else -C[i][j])
+    for nu, X in enumerate(_BETA_MATRICES):
+        for ((p, q), x), ((r, s), (mu, k)) in itertools.product(X.items(), _BETA_READ.items()):
+            if g[r][p] and C[s][q]:  # (g E_pq C^t)_rs = g_rp C_sq
+                _add(acc, (_BETA_IDX[mu], _BETA_IDX[nu]), k * x * g[r][p] * C[s][q])
+    T = [[Fraction(0)] * len(M14_LABELS) for _ in M14_LABELS]
+    for (i, j), v in acc.items():
+        if v:
+            T[i][j] = as_divisor(v)  # an int becomes a Fraction, as in Fraction(0) + v
     return T
 
 
 def swap_first_second():
     """Symmetry exchanging the first two alpha coordinates."""
-    pairs = [("a1", "a2"), ("a1*", "a2*"), ("b1,1", "b2,2"),
-             ("b1,2", "b2,1"), ("b3,1", "b3,2"), ("b4,1", "b4,2")]
-    mp = {}
-    for u, v in pairs:
-        mp[u] = [(1, v)]
-        mp[v] = [(1, u)]
-    return _matrix_from_map(mp)
+    return lift([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def swap_first_third():
     """Symmetry exchanging the first and third alpha coordinates."""
-    mp = {}
-    for u, v in [("a1", "a3"), ("a1*", "a3*"), ("b1,1", "b3,1"),
-                 ("b1,2", "b3,2"), ("b2,1", "b2,2")]:
-        mp[u] = [(1, v)]
-        mp[v] = [(1, u)]
-    # b4,1 <-> -b4,1 - b4,2 with b4,2 fixed
-    mp["b4,1"] = [(-1, "b4,1"), (-1, "b4,2")]
-    mp["b4,2"] = [(1, "b4,2")]
-    return _matrix_from_map(mp)
+    return lift([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 def rotation(c, s):
@@ -77,41 +110,14 @@ def rotation(c, s):
     pythagorean pairs keep the check exact)."""
     if not close(c * c + s * s, 1):
         raise ValueError("rotation parameters must satisfy c^2 + s^2 = 1")
-    c2, s2, cs = c * c, s * s, c * s
-    half = Fraction(1, 2)
-    mp = {
-        "a1": [(c, "a1"), (s, "a2")],
-        "a2": [(-s, "a1"), (c, "a2")],
-        "a1*": [(c, "a1*"), (s, "a2*")],
-        "a2*": [(-s, "a1*"), (c, "a2*")],
-        "b1,1": [(c, "b1,1"), (s, "b2,2")],
-        "b1,2": [(c, "b1,2"), (s, "b2,1")],
-        "b2,1": [(-s, "b1,2"), (c, "b2,1")],
-        "b2,2": [(-s, "b1,1"), (c, "b2,2")],
-        # -2cs * b4,3 with b4,3 = -b4,1 - b4,2
-        "b3,1": [(c2, "b3,1"), (s2, "b3,2"), (2 * cs, "b4,1"), (2 * cs, "b4,2")],
-        "b3,2": [(s2, "b3,1"), (c2, "b3,2"), (-2 * cs, "b4,1"), (-2 * cs, "b4,2")],
-        "b4,1": [(-half * cs, "b3,1"), (half * cs, "b3,2"),
-                 (c2, "b4,1"), (-s2, "b4,2")],
-        "b4,2": [(-half * cs, "b3,1"), (half * cs, "b3,2"),
-                 (-s2, "b4,1"), (c2, "b4,2")],
-    }
-    return _matrix_from_map(mp)
+    return lift([[c, -s, 0], [s, c, 0], [0, 0, 1]])
 
 
 def dilatation(a1, a2, a3):
     """Diagonal symmetry scaling alpha_i by a_i; requires a1 a2 a3 = 1."""
     if not close(a1 * a2 * a3, 1):
         raise ValueError("dilatation requires a1*a2*a3 = 1")
-    d1, d2, d3 = (as_divisor(a) for a in (a1, a2, a3))
-    mp = {
-        "a1": [(a1, "a1")], "a2": [(a2, "a2")], "a3": [(a3, "a3")],
-        "a1*": [(1 / d1, "a1*")], "a2*": [(1 / d2, "a2*")], "a3*": [(1 / d3, "a3*")],
-        "b1,1": [(a2 / d3, "b1,1")], "b1,2": [(a3 / d2, "b1,2")],
-        "b2,1": [(a3 / d1, "b2,1")], "b2,2": [(a1 / d3, "b2,2")],
-        "b3,1": [(a2 / d1, "b3,1")], "b3,2": [(a1 / d2, "b3,2")],
-    }
-    return _matrix_from_map(mp)
+    return lift([[a1, 0, 0], [0, a2, 0], [0, 0, a3]])
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +233,18 @@ def is_symmetry(m: Model0, T, rel: float = REL_TOL) -> CheckReport:
 def tau(T):
     """Restriction of a symmetry of the 14-dimensional model to the invariant
     alpha* block, as a 3x3 matrix."""
-    star = [_LAB["a1*"], _LAB["a2*"], _LAB["a3*"]]
-    for j in star:
+    for j in _STAR:
         for i in range(len(T)):
-            if i not in star and T[i][j] != 0:
+            if i not in _STAR and T[i][j] != 0:
                 raise ValueError("matrix does not preserve the alpha* subspace")
-    return [[T[i][j] for j in star] for i in star]
+    return [[T[i][j] for j in _STAR] for i in _STAR]
 
 
 # ---------------------------------------------------------------------------
 # kernel of tau
 
-#: the alpha 4-tuples (0-based) whose vanishing pins down the b coefficients
+#: the six independent 4-alpha curvature components (0-based); linearised,
+#: they pin down the b coefficients here and normalize_basis_0's x shifts
 _KERNEL_TUPLES = [(1, 0, 0, 1), (2, 0, 0, 2), (2, 1, 1, 2),
                   (1, 0, 0, 2), (0, 1, 1, 2), (0, 2, 2, 1)]
 
@@ -302,7 +308,6 @@ def _kernel_matrix(m: Model0, b, c_skew):
     G = m.form.entries
     n = m.n
     T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    star = [_LAB["a1*"], _LAB["a2*"], _LAB["a3*"]]
     # d[i][nu] = d_nu^i
     d = [[-sum(G[_BETA_IDX[nu]][_BETA_IDX[mu]] * b[i][mu] for mu in range(8))
           for nu in range(8)] for i in range(3)]
@@ -310,10 +315,10 @@ def _kernel_matrix(m: Model0, b, c_skew):
         col = _LAB[f"a{i + 1}"]
         for nu in range(8):
             T[_BETA_IDX[nu]][col] += b[i][nu]
-            T[star[i]][_BETA_IDX[nu]] += d[i][nu]
+            T[_STAR[i]][_BETA_IDX[nu]] += d[i][nu]
         for j in range(3):
             c_sym = Fraction(1, 2) * sum(b[i][nu] * d[j][nu] for nu in range(8))
-            T[star[j]][col] += c_sym + Fraction(c_skew[i][j])
+            T[_STAR[j]][col] += c_sym + Fraction(c_skew[i][j])
     return T
 
 

@@ -631,3 +631,84 @@ def terms_signature(terms):
     coefficient's repr (its value, a float's to the bit) and type, repr of
     the expression, and y."""
     return [(repr(coef), type(coef), repr(expr), y) for coef, expr, y in terms]
+
+
+# ---------------------------------------------------------------------------
+# the symmetry generators as hand-derived tables of basis images, the
+# reference for symmetry.lift
+
+
+def _matrix_from_map(mapping):
+    """14x14 matrix from a dict label -> list of (coeff, label) image terms;
+    a label missing from the dict is fixed."""
+    lab = {name: i for i, name in enumerate(M14_LABELS)}
+    n = len(M14_LABELS)
+    T = [[Fraction(0)] * n for _ in range(n)]
+    for src, terms in mapping.items():
+        for coeff, dst in terms:
+            T[lab[dst]][lab[src]] += coeff
+    for name in M14_LABELS:
+        if name not in mapping:
+            T[lab[name]][lab[name]] = Fraction(1)
+    return T
+
+
+def _swaps(pairs):
+    mp = {}
+    for u, v in pairs:
+        mp[u] = [(1, v)]
+        mp[v] = [(1, u)]
+    return mp
+
+
+def swap_first_second_reference():
+    return _matrix_from_map(_swaps(
+        [("a1", "a2"), ("a1*", "a2*"), ("b1,1", "b2,2"), ("b1,2", "b2,1"),
+         ("b3,1", "b3,2"), ("b4,1", "b4,2")]))
+
+
+def swap_first_third_reference():
+    mp = _swaps([("a1", "a3"), ("a1*", "a3*"), ("b1,1", "b3,1"),
+                 ("b1,2", "b3,2"), ("b2,1", "b2,2")])
+    # b4,1 <-> -b4,1 - b4,2 with b4,2 fixed
+    mp["b4,1"] = [(-1, "b4,1"), (-1, "b4,2")]
+    mp["b4,2"] = [(1, "b4,2")]
+    return _matrix_from_map(mp)
+
+
+def rotation_reference(c, s):
+    c2, s2, cs = c * c, s * s, c * s
+    return _matrix_from_map({
+        "a1": [(c, "a1"), (s, "a2")],
+        "a2": [(-s, "a1"), (c, "a2")],
+        "a1*": [(c, "a1*"), (s, "a2*")],
+        "a2*": [(-s, "a1*"), (c, "a2*")],
+        "b1,1": [(c, "b1,1"), (s, "b2,2")],
+        "b1,2": [(c, "b1,2"), (s, "b2,1")],
+        "b2,1": [(-s, "b1,2"), (c, "b2,1")],
+        "b2,2": [(-s, "b1,1"), (c, "b2,2")],
+        # -2cs * b4,3 with b4,3 = -b4,1 - b4,2
+        "b3,1": [(c2, "b3,1"), (s2, "b3,2"), (2 * cs, "b4,1"), (2 * cs, "b4,2")],
+        "b3,2": [(s2, "b3,1"), (c2, "b3,2"), (-2 * cs, "b4,1"), (-2 * cs, "b4,2")],
+        "b4,1": [(-HALF * cs, "b3,1"), (HALF * cs, "b3,2"),
+                 (c2, "b4,1"), (-s2, "b4,2")],
+        "b4,2": [(-HALF * cs, "b3,1"), (HALF * cs, "b3,2"),
+                 (-s2, "b4,1"), (c2, "b4,2")],
+    })
+
+
+def dilatation_reference(a1, a2, a3):
+    d1, d2, d3 = (Fraction(a) if isinstance(a, int) else a for a in (a1, a2, a3))
+    return _matrix_from_map({
+        "a1": [(a1, "a1")], "a2": [(a2, "a2")], "a3": [(a3, "a3")],
+        "a1*": [(1 / d1, "a1*")], "a2*": [(1 / d2, "a2*")], "a3*": [(1 / d3, "a3*")],
+        "b1,1": [(a2 / d3, "b1,1")], "b1,2": [(a3 / d2, "b1,2")],
+        "b2,1": [(a3 / d1, "b2,1")], "b2,2": [(a1 / d3, "b2,2")],
+        "b3,1": [(a2 / d1, "b3,1")], "b3,2": [(a1 / d2, "b3,2")],
+    })
+
+
+#: the six independent 4-alpha curvature components as normalize_basis_0
+#: once listed them: symmetry._KERNEL_TUPLES, five of them with the other sign
+XXXX_BASIS_REFERENCE = [(0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2),
+                        (0, 1, 0, 2), (0, 1, 1, 2), (0, 2, 1, 2)]

@@ -520,6 +520,30 @@ def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
 
 
+#: psi trees FnExpr.from_json refuses: a wrong argument count, a variable
+#: index that is not an int, and an exponent that is not an int
+MALFORMED_TREES = [
+    {"op": "pow", "args": [{"var": 1}]},
+    {"op": "+", "args": [{"var": 1}]},
+    {"op": "exp", "args": [{"var": 1}, {"var": 1}]},
+    {"var": 1.5},
+    {"var": True},
+    {"op": "pow", "args": [{"var": 1}, 2.5]},
+]
+
+
+@pytest.mark.parametrize("sub", ["curvature", "geodesic"])
+@pytest.mark.parametrize("tree", MALFORMED_TREES, ids=json.dumps)
+def test_geometry_malformed_psi_tree_exits_2(capsys, tmp_path, sub, tree):
+    p = tmp_path / "metric.json"
+    p.write_text(json.dumps({"a": 1, "b": 1, "C": [[1]], "psi": {"1,1": [tree]}}))
+    rc = main(["geometry", str(p), sub])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # the README's commands
 

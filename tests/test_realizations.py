@@ -20,7 +20,8 @@ from jtcurv.realizations import (AFamily, PhiFamily, build_M_A, build_M_Phi,
                                  xi_from_frame, xi_invariant)
 
 from conftest import SYMMETRIC_A, random_afamily, rational_point
-from helpers import (YIDX, curvature_unit_fixtures, curvature_xxxx_fixtures,
+from helpers import (XXXX_BASIS_REFERENCE, YIDX, curvature_unit_fixtures,
+                     curvature_xxxx_fixtures,
                      nabla_r_expected_full, nabla_r_fixtures,
                      verify_0_model_reference)
 
@@ -197,6 +198,30 @@ def test_normalize_basis_0_reproduces_model(rng):
     rep = verify_0_model(M, P)
     assert rep.holds, rep.witness
     assert rep.stats["components_checked"] > 4000
+
+
+def test_normalize_basis_0_matches_xxxx_basis_reference(monkeypatch):
+    """The shift solve reads symmetry._KERNEL_TUPLES; the list it once had,
+    five of whose components have the other sign, flips its rows and
+    right-hand side together and gives the same frames, in value and type:
+    exact and float M_A, and float M_Phi."""
+    rng = random.Random(21)
+
+    def float_point():
+        return tuple(rng.uniform(-2.0, 2.0) for _ in range(14))
+
+    cases = [(build_M_A(random_afamily(rng)), rational_point(rng)) for _ in range(5)]
+    cases += [(build_M_A(AFamily({k: float(v) for k, v in random_afamily(rng).a.items()})),
+               float_point()) for _ in range(5)]
+    mphi = build_M_Phi(exp_phi_family())
+    cases += [(mphi, float_point()) for _ in range(5)]
+    frames = [normalize_basis_0(M, P).vectors for M, P in cases]
+    monkeypatch.setattr(realizations, "_KERNEL_TUPLES", XXXX_BASIS_REFERENCE)
+    for (M, P), got in zip(cases, frames):
+        want = normalize_basis_0(M, P).vectors
+        assert got == want
+        assert {k: [type(x) for x in v] for k, v in got.items()} == \
+            {k: [type(x) for x in v] for k, v in want.items()}
 
 
 def test_verify_0_model_m_phi_polynomial(rng):

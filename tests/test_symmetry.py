@@ -15,16 +15,18 @@ from jtcurv import (dilatation, is_symmetry, kernel_basis_b,
                     swap_first_third, tau)
 from jtcurv import symmetry
 from jtcurv.expr import FnExpr
-from jtcurv.linalg import identity, mat_mul, rank, transpose
+from jtcurv.linalg import identity, mat_inv, mat_mul, rank, transpose
 from jtcurv.models import M14_LABELS, riemann_orbit
 from jtcurv.planewave import curvature_at
 from jtcurv.realizations import (build_M_A, build_M_Phi, normalize_basis_0,
                                  phi_family_specialized)
 from jtcurv.scalars import REL_TOL, close
-from jtcurv.symmetry import pullback
+from jtcurv.symmetry import lift, pullback
 
 from conftest import random_afamily, rational_point
-from helpers import canonical_part, pullback_reference
+from helpers import (canonical_part, dilatation_reference, pullback_reference,
+                     rotation_reference, swap_first_second_reference,
+                     swap_first_third_reference)
 
 
 def det3(T):
@@ -70,6 +72,78 @@ def test_dilatation_generator(m14):
 def test_dilatation_requires_unit_product():
     with pytest.raises(ValueError):
         dilatation(Fraction(2), Fraction(1), Fraction(1))
+
+
+def assert_same_matrix(got, want):
+    """Equal in value and in the type of every entry."""
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == \
+        [[type(x) for x in row] for row in want]
+
+
+def test_generators_match_reference_tables():
+    """lift of the four generators' 3x3 matrices gives the hand-derived
+    tables, in value and type: the README parameters, every pythagorean pair
+    with 1 <= q < p <= 6 under all four sign choices, and every unit
+    dilatation with entries in {+-1, +-2, +-1/2, +-3, +-1/3}."""
+    assert_same_matrix(swap_first_second(), swap_first_second_reference())
+    assert_same_matrix(swap_first_third(), swap_first_third_reference())
+    rotations = [(Fraction(3, 5), Fraction(4, 5))]
+    for p in range(2, 7):
+        for q in range(1, p):
+            d = p * p + q * q
+            c, s = Fraction(p * p - q * q, d), Fraction(2 * p * q, d)
+            rotations += [(u * c, v * s) for u in (1, -1) for v in (1, -1)]
+    for c, s in rotations:
+        assert_same_matrix(rotation(c, s), rotation_reference(c, s))
+    units = [u * a for u in (1, -1)
+             for a in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(1, 3))]
+    dilatations = [(Fraction(2), Fraction(1, 2), Fraction(1))]
+    dilatations += [a for a in itertools.product(units, repeat=3)
+                    if a[0] * a[1] * a[2] == 1]
+    assert len(dilatations) > 40
+    for a in dilatations:
+        assert_same_matrix(dilatation(*a), dilatation_reference(*a))
+
+
+def random_sl_pm3(rng):
+    """A rational 3x3 matrix of determinant +-1: a product of shears
+    1 + t E_ij, a unit diagonal and, half the time, a swap."""
+    g = identity(3)
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(3), 2)
+        shear = identity(3)
+        shear[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        g = mat_mul(g, shear)
+    a = Fraction(rng.choice((1, -1)) * rng.randint(1, 3), rng.randint(1, 3))
+    g = mat_mul(g, [[a, 0, 0], [0, 1 / a, 0], [0, 0, Fraction(1)]])
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(3), 2)
+        swap = identity(3)
+        swap[i][i] = swap[j][j] = Fraction(0)
+        swap[i][j] = swap[j][i] = Fraction(1)
+        g = mat_mul(swap, g)
+    return g
+
+
+def test_lift_is_a_homomorphism_into_the_symmetries(m14):
+    """On seeded rational elements of SL_pm(3), shears among them:
+    lift(g h) = lift(g) lift(h), tau(lift(g)) = g^-t, and lift(g) is a
+    symmetry."""
+    rng = random.Random(21)
+    gs = [random_sl_pm3(rng) for _ in range(21)]
+    assert {det3(g) for g in gs} == {1, -1}
+    lifts = [lift(g) for g in gs]
+    for g, T in zip(gs, lifts):
+        assert tau(T) == transpose(mat_inv(g))
+        assert is_symmetry(m14, T).holds
+    for k in range(len(gs) - 1):
+        assert lift(mat_mul(gs[k], gs[k + 1])) == mat_mul(lifts[k], lifts[k + 1])
+
+
+def test_lift_rejects_determinant_two():
+    with pytest.raises(ValueError):
+        lift([[Fraction(2), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]])
 
 
 def test_non_symmetry_has_witness(m14):

@@ -178,6 +178,9 @@ def cmd_geometry(args):
     obj = {"command": f"geometry {args.sub}", "metric": args.metric}
     checks = []
     sub = args.sub
+    if sub in ("verify-0-model", "xi") and (M.a, M.b) != (3, 8):
+        raise UsageError(f"{sub} needs the a=3, b=8 family of the normalized "
+                         f"frame, got a metric with a={M.a}, b={M.b}")
 
     def given_or_sampled(count):
         """The --point, or count random points (--points overrides count)."""
@@ -236,15 +239,14 @@ def cmd_geometry(args):
             stream = _open_out(args)
             w = csv.writer(stream)
             w.writerow(["x1", "Xi"])
-            x1 = start
             n = 0
-            while x1 <= stop + 1e-12:
+            # row k sits at start + k step: a running sum would drift
+            while (x1 := start + n * step) <= stop + 1e-12:
                 P = [0.0] * M.n
                 P[0] = x1
                 xi = realizations.xi_invariant(M, tuple(P), mode="direct"
                                                if hasattr(M, "phi") else "frame")
                 w.writerow([x1, float(xi.value)])
-                x1 += step
                 n += 1
             if args.out:
                 stream.close()

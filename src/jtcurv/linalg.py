@@ -60,7 +60,12 @@ def _pivot_row(M, col, start):
 
 
 def rref(A):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    It skips the Fraction zeros of the pivot row where an exact pivot or
+    factor leaves the entry as it is, so each entry has the value and type
+    of the dense elimination (an int left there turns into a Fraction when
+    its row is divided)."""
     M = [list(row) for row in A]
     if not M:
         return [], []
@@ -73,11 +78,19 @@ def rref(A):
             continue
         M[r], M[piv] = M[piv], M[r]
         p = as_divisor(M[r][c])
-        M[r] = [x / p for x in M[r]]
+        exact = not isinstance(p, float)
+        prow = M[r] = [x if exact and type(x) is Fraction and not x else x / p
+                       for x in M[r]]
+        live = [(j, y) for j, y in enumerate(prow) if type(y) is not Fraction or y]
         for rr in range(rows):
-            if rr != r and M[rr][c] != 0:
-                f = M[rr][c]
-                M[rr] = [x - f * y for x, y in zip(M[rr], M[r])]
+            row = M[rr]
+            f = row[c]
+            if rr != r and f != 0:
+                if isinstance(f, float):
+                    M[rr] = [x - f * y for x, y in zip(row, prow)]
+                else:
+                    for j, y in live:
+                        row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == rows:

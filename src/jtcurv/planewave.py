@@ -89,8 +89,8 @@ from .expr import FnExpr, _floated, terms_evaluator
 from .linalg import BilinearForm, CoordTensor, mat_inv
 from .models import canonicalize_riemann, riemann_orbit
 from .poly import Poly
-from .scalars import (is_exact, iszero, pair_keys, scalar_from_json,
-                      scalar_to_json)
+from .scalars import (adds_nothing, is_exact, iszero, pair_keys,
+                      scalar_from_json, scalar_to_json)
 from .symmetry import wedge
 
 
@@ -327,7 +327,9 @@ class PlaneWaveMetric:
         C = [[scalar_from_json(x) for x in row] for row in obj["C"]]
         psi = {(i - 1, j - 1): [FnExpr.from_json(f) for f in fns]
                for (i, j), fns in pair_keys(obj.get("psi", {})).items()}
-        return PlaneWaveMetric(int(obj["a"]), int(obj["b"]), C, psi)
+        M = PlaneWaveMetric(int(obj["a"]), int(obj["b"]), C, psi)
+        M.cinv  # a singular C raises linalg.SingularMatrixError, a ValueError
+        return M
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,9 @@ class PlaneWaveMetric:
 
 
 def metric_at(M: PlaneWaveMetric, P) -> BilinearForm:
+    """g at P.  g(dx_i, dx_j) sums 2 y_mu psi_{ij,mu}(x) over the live mu;
+    a zero-constant psi adds a zero, which is added only where it changes
+    the sum's type (scalars.adds_nothing), as the sum over every mu does."""
     a, b, n = M.a, M.b, M.n
     x = tuple(P[:a])
     y = P[2 * a:]
@@ -342,12 +347,10 @@ def metric_at(M: PlaneWaveMetric, P) -> BilinearForm:
     for i in range(a):
         G[i][M.xsi(i)] = G[M.xsi(i)][i] = 1
         for j in range(i, a):
-            s = 0
-            for mu in range(b):
-                if y[mu] != 0:
-                    f = M.psi_fn(i, j, mu)
-                    if f is not None:
-                        s = s + 2 * y[mu] * f.eval(x)
+            s, live = 0, M._live.get((i, j))
+            for mu, f in enumerate(M.psi.get((i, j), ())):
+                if y[mu] != 0 and (mu in live or not adds_nothing(s, y[mu], f.value)):
+                    s = s + 2 * y[mu] * f.eval(x)
             G[i][j] = G[j][i] = s
     for mu in range(b):
         for nu in range(b):
@@ -558,7 +561,10 @@ def nabla_R_contract(M: PlaneWaveMetric, P, vecs, requests, engine=None):
 
     @functools.cache
     def pairs(s, t):
-        return [(p, w) for p, w in wedge(nz[s], nz[t]).items() if not out(p)]
+        """The wedge pairs within the support, each flagged when it holds a
+        y index (p[1], as p has no x*): two flagged pairs leave it."""
+        return [(p, w, p[1] >= M.yi(0)) for p, w in wedge(nz[s], nz[t]).items()
+                if not out(p)]
 
     @functools.cache
     def entry(key, ds):
@@ -574,9 +580,9 @@ def nabla_R_contract(M: PlaneWaveMetric, P, vecs, requests, engine=None):
     values = []
     for s1, s2, s3, s4, *ds in requests:
         total = 0
-        for p, w12 in pairs(s1, s2):
-            for q, w34 in pairs(s3, s4):
-                v = None if out(p + q) else entry(min(p + q, q + p), tuple(ds))
+        for p, w12, py in pairs(s1, s2):
+            for q, w34, qy in pairs(s3, s4):
+                v = None if py and qy else entry(min(p + q, q + p), tuple(ds))
                 if v is not None:
                     total += w12 * w34 * v
         values.append(total)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .expr import EvalError, FnExpr
 from .linalg import BilinearForm, solve, transpose
-from .models import M14_LABELS, CheckReport, build_m14
+from .models import M14_LABELS, CheckReport, build_m14, canonicalize_riemann
 from .planewave import (PlaneWaveMetric, _CovREngine, first_nonzero_component,
                         metric_at, nabla_R_contract)
 from .planewave import nabla_R_frame  # noqa: F401 (bench/tracing.py patches it here)
@@ -206,11 +206,14 @@ def phi_family_specialized(phi11, phi12) -> PhiFamily:
 
 @dataclass
 class Frame:
-    """14 labeled tangent vectors at a point, in model basis order; metric g there."""
+    """14 labeled tangent vectors at a point, in model basis order; the metric
+    g there, and the nabla^k R evaluator at the point (planewave._CovREngine)
+    the frame was built with, whose memo the later reads at the point share."""
 
     point: tuple
     vectors: dict
     metric: BilinearForm | None = field(default=None, compare=False, repr=False)
+    engine: _CovREngine | None = field(default=None, compare=False, repr=False)
 
     def vector(self, label):
         return self.vectors[label]
@@ -235,11 +238,27 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
     4-alpha curvature (a linear solve, since curvature terms with two or
     more y entries vanish); shift by x* directions to restore the inner
     products.  Each later stage leaves the earlier normalizations intact.
+
+    The stages read nonzero data only: R through one _CovREngine at the
+    canonical keys M.riemann holds, the x block of g = metric_at(M, P) and
+    the nonzero C_mu,nu scaled by the y rescalings.  Each entry is the dense
+    sums' in value and type: where a skipped zero would turn an exact sum
+    into a float, the sum turns too.  The frame carries g and the engine,
+    which verify_0_model, normalize_basis_1 and xi_invariant read on.
     """
     if M.a != 3 or M.b != 8:
         raise ValueError("frame normalization requires the a=3, b=8 family")
     P = tuple(P)
     eng = _CovREngine(M, P)
+    riemann = M.riemann
+
+    def R(idx):
+        """R at P on coordinate indices; the engine reads held keys only."""
+        key, sign = canonicalize_riemann(idx)
+        if key not in riemann:
+            return 0
+        v = eng.value(key)
+        return v if sign > 0 else -v  # -v is -1 * v, signed zero included
 
     def e(idx):
         return tuple(1 if t == idx else 0 for t in range(14))
@@ -247,67 +266,71 @@ def normalize_basis_0(M: PlaneWaveMetric, P) -> Frame:
     lam = [1] * 8
     for pair, (i, j, _) in _LAMBDA_PATTERNS:
         mu = _YIDX[pair]
-        r = eng.value((i, j, j, M.yi(mu)))
+        r = R((i, j, j, M.yi(mu)))
         if iszero(r):
             raise ValueError(f"degenerate point: unit curvature pattern for "
                              f"y{pair} vanishes")
         lam[mu] = Fraction(1) / r
 
     # stage two: t[i][mu] coefficients from a linear solve
-    rows = beta_shift_rows(_KERNEL_TUPLES, [M.yi(mu) for mu in range(8)], eng.value, lam)
-    rhs = [-eng.value(tup) for tup in _KERNEL_TUPLES]
+    rows = beta_shift_rows(_KERNEL_TUPLES, [M.yi(mu) for mu in range(8)], R, lam)
+    rhs = [-R(tup) for tup in _KERNEL_TUPLES]
     tflat = solve(rows, rhs)
     t = [tflat[8 * i:8 * (i + 1)] for i in range(3)]
 
-    beta_bar = []
-    for mu in range(8):
-        v = [0] * 14
-        v[M.yi(mu)] = lam[mu]
-        beta_bar.append(tuple(v))
-    alpha_tilde = []
-    for i in range(3):
-        v = list(e(i))
-        for mu in range(8):
-            if t[i][mu] != 0:
-                v[M.yi(mu)] += t[i][mu] * lam[mu]
-        alpha_tilde.append(tuple(v))
-
+    # stage three: x* shifts from the Gram blocks of beta_bar_mu = lam_mu
+    # d/dy_mu and of alpha_tilde_i = d/dx_i + sum_mu t_i^mu beta_bar_mu,
+    # whose y entries are ay[i]; g(alpha_tilde_i, alpha_tilde_j) starts at
+    # g's x block, and every y part runs over the nonzero C_mu,nu
+    C = M.C.entries
+    ay = [[0 + x * lam[mu] if x else 0 for mu, x in enumerate(ti)] for ti in t]
     g = metric_at(M, P)
-    gbb = [[g.apply(beta_bar[mu], beta_bar[nu]) for nu in range(8)] for mu in range(8)]
-    beta = []
-    for nu in range(8):
-        v = list(beta_bar[nu])
+    gaa = [[g.entries[i][j] or 0 for j in range(3)] for i in range(3)]
+    # a sum over every mu of g(beta_bar_mu, beta_bar_nu) t_i^mu turns float
+    # at the first float t_i^mu, where a skipped zero term adds 0.0
+    first_float = [next((mu for mu, x in enumerate(ti) if isinstance(x, float)), 8)
+                   for ti in t]
+    shift = {}
+    for mu, nu in itertools.product(range(8), repeat=2):
+        c = C[mu][nu]
+        if c == 0:
+            continue
+        gbb = 0 + lam[mu] * c * lam[nu]
         for i in range(3):
-            d = -sum(gbb[mu][nu] * t[i][mu] for mu in range(8))
-            v[M.xsi(i)] += d
-        beta.append(tuple(v))
-
-    alpha = []
-    for i in range(3):
-        v = list(alpha_tilde[i])
-        for j in range(3):
-            gij = g.apply(alpha_tilde[i], alpha_tilde[j])
-            if gij != 0:
-                v[M.xsi(j)] -= gij / Fraction(2)
-        alpha.append(tuple(v))
+            d = shift.get((i, nu), 0)
+            shift[i, nu] = (float(d) if first_float[i] < mu else d) + gbb * t[i][mu]
+            for j in range(3):
+                if ay[i][mu] != 0 and ay[j][nu] != 0:
+                    gaa[i][j] += ay[i][mu] * c * ay[j][nu]
 
     vectors = {}
     for i in range(3):
-        vectors[f"a{i + 1}"] = alpha[i]
+        v = list(e(i))
+        v[M.yi(0):] = ay[i]
+        for j in range(3):
+            if gaa[i][j] != 0:
+                v[M.xsi(j)] -= gaa[i][j] / Fraction(2)
+        vectors[f"a{i + 1}"] = tuple(v)
         vectors[f"a{i + 1}*"] = e(M.xsi(i))
-    for (bi, bj), mu in _YIDX.items():
-        vectors[f"b{bi},{bj}"] = beta[mu]
-    return Frame(P, vectors, g)
+    for (bi, bj), nu in _YIDX.items():
+        v = [0] * 14
+        v[M.yi(nu)] = lam[nu]
+        for i in range(3):
+            d = shift.get((i, nu), Fraction(0))  # a zero column of C: zeros only
+            v[M.xsi(i)] = 0 - (float(d) if first_float[i] < 8 else d)
+        vectors[f"b{bi},{bj}"] = tuple(v)
+    return Frame(P, vectors, g, eng)
 
 
 def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
     """Does the normalized frame at P reproduce the model's inner products
-    and curvature components, all of them, to the requested precision?"""
+    and curvature components, all of them, to the requested precision?
+    R is read with the frame's engine, whose memo holds what the frame read."""
     try:
         frame = normalize_basis_0(M, P)
     except (ValueError, ZeroDivisionError) as err:
         return CheckReport("0-model", False, witness={"error": str(err)})
-    eng = _CovREngine(M, P)
+    eng = frame.engine
     R = {key: v for key in M.riemann if not iszero(v := eng.value(key))}
     return check_pullback("0-model", _model(build_m14), frame.metric, R,
                           transpose(frame.ordered()), rel)
@@ -325,7 +348,8 @@ def _nabla_pattern_table(M, P, frame: Frame):
     """All nabla R(alpha_i, alpha_j, alpha_k, beta_nu; alpha_l) values."""
     labels = ["a1", "a2", "a3"] + [f"b{i},{j}" for i, j in Y_PAIRS]
     requests = list(itertools.product(range(3), range(3), range(3), range(3, 11), range(3)))
-    values = nabla_R_contract(M, P, [frame.vector(s) for s in labels], requests)
+    values = nabla_R_contract(M, P, [frame.vector(s) for s in labels], requests,
+                              frame.engine)
     return {tuple(labels[s] for s in req): v for req, v in zip(requests, values)}
 
 
@@ -359,12 +383,14 @@ class XiValue:
     frame: Frame | None = None
 
 
-def xi_from_frame(M: PlaneWaveMetric, P, vectors) -> XiValue:
-    """Xi from any frame supplying a1, a2, a3, b1,1 and b1,2 vectors."""
+def xi_from_frame(M: PlaneWaveMetric, P, vectors, engine=None) -> XiValue:
+    """Xi from any frame supplying a1, a2, a3, b1,1 and b1,2 vectors; engine
+    is a _CovREngine at P to read on (a fresh one by default)."""
     vecs = [vectors[name] for name in ("a1", "a2", "a3", "b1,1", "b1,2")]
     # (a1, a2, a2, b12; a1, a1), (...; a1), then the same with a3 and b11
     n2_12, n1_12, n2_11, n1_11 = nabla_R_contract(M, P, vecs, [
-        (0, 1, 1, 4, 0, 0), (0, 1, 1, 4, 0), (0, 2, 2, 3, 0, 0), (0, 2, 2, 3, 0)])
+        (0, 1, 1, 4, 0, 0), (0, 1, 1, 4, 0), (0, 2, 2, 3, 0, 0), (0, 2, 2, 3, 0)],
+        engine)
     if iszero(n1_12) or iszero(n1_11):
         raise ZeroDivisionError("first-derivative contraction vanishes; "
                                 "Xi is undefined at this point")
@@ -397,7 +423,7 @@ def xi_invariant(M: PlaneWaveMetric, P, mode: str = "frame") -> XiValue:
     if mode != "frame":
         raise ValueError(f"unknown Xi mode {mode!r}")
     frame = normalize_basis_1(M, P)
-    xi = xi_from_frame(M, P, frame.vectors)
+    xi = xi_from_frame(M, P, frame.vectors, frame.engine)
     xi.frame = frame
     return xi
 

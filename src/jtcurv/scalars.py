@@ -38,6 +38,15 @@ def as_divisor(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
+def adds_nothing(s, *factors) -> bool:
+    """Is s + x, x a zero product of the factors, s in value and type?  Yes
+    for a float s (a sum run from 0 is never -0.0) and for a Fraction s
+    beside exact factors: a sparse sum skips those zeros only, to the dense
+    sum bit for bit."""
+    return isinstance(s, float) or isinstance(s, Fraction) and not any(
+        isinstance(f, float) for f in factors)
+
+
 def iszero(x) -> bool:
     if is_exact(x):
         return x == 0

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 from jtcurv import realizations
 from jtcurv.expr import FnExpr, terms_evaluator
+from jtcurv.linalg import BilinearForm, _pivot_row
 from jtcurv.models import (M14_LABELS, CheckReport, canonicalize_riemann,
                            riemann_orbit)
 from jtcurv.planewave import CoordTensor, _CovREngine, metric_at
 from jtcurv.scalars import iszero
 from jtcurv.realizations import Y_PAIRS
-from jtcurv.scalars import REL_TOL, close, is_exact
+from jtcurv.scalars import REL_TOL, as_divisor, close, is_exact
+from jtcurv.symmetry import _KERNEL_TUPLES, beta_shift_rows
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -712,3 +714,135 @@ def dilatation_reference(a1, a2, a3):
 #: once listed them: symmetry._KERNEL_TUPLES, five of them with the other sign
 XXXX_BASIS_REFERENCE = [(0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2),
                         (0, 1, 0, 2), (0, 1, 1, 2), (0, 2, 1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the dense elimination and frame the sparse ones must reproduce bit for bit
+
+
+def typed(x):
+    """x with every scalar replaced by (type name, value), a float's value
+    by float.hex, so that equal results are equal in type and sign too."""
+    if isinstance(x, (list, tuple)):
+        return [typed(v) for v in x]
+    if isinstance(x, dict):
+        return {k: typed(v) for k, v in x.items()}
+    return (type(x).__name__, x.hex() if isinstance(x, float) else x)
+
+
+def rref_reference(A):
+    """linalg.rref as a dense elimination: every entry of the pivot row is
+    divided, and every row with a nonzero in the pivot column reduced over
+    all columns."""
+    M = [list(row) for row in A]
+    if not M:
+        return [], []
+    rows, cols = len(M), len(M[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = _pivot_row(M, c, r)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        p = as_divisor(M[r][c])
+        M[r] = [x / p for x in M[r]]
+        for rr in range(rows):
+            if rr != r and M[rr][c] != 0:
+                f = M[rr][c]
+                M[rr] = [x - f * y for x, y in zip(M[rr], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M[:r] + [[Fraction(0)] * cols for _ in range(rows - r)], pivots
+
+
+def _solve_reference(A, b):
+    R, pivots = rref_reference([list(ra) + [bb] for ra, bb in zip(A, b)])
+    cols = len(A[0])
+    assert cols not in pivots
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][cols]
+    return tuple(x)
+
+
+def metric_at_reference(M, P):
+    """planewave.metric_at summing over every mu, zero constants included."""
+    a, b, n = M.a, M.b, M.n
+    x = tuple(P[:a])
+    y = P[2 * a:]
+    G = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(a):
+        G[i][M.xsi(i)] = G[M.xsi(i)][i] = 1
+        for j in range(i, a):
+            s = 0
+            for mu in range(b):
+                if y[mu] != 0:
+                    f = M.psi_fn(i, j, mu)
+                    if f is not None:
+                        s = s + 2 * y[mu] * f.eval(x)
+            G[i][j] = G[j][i] = s
+    for mu in range(b):
+        for nu in range(b):
+            G[M.yi(mu)][M.yi(nu)] = M.C.entries[mu][nu]
+    return BilinearForm(G)
+
+
+def normalize_basis_0_reference(M, P):
+    """realizations.normalize_basis_0 with dense sums: every curvature
+    component of the shift rows read from the engine, the Gram blocks
+    formed with BilinearForm.apply on the dense metric, and the shift solve
+    on the dense elimination.  Returns the frame's vectors."""
+    P = tuple(P)
+    eng = _CovREngine(M, P)
+
+    def e(idx):
+        return tuple(1 if t == idx else 0 for t in range(14))
+
+    lam = [1] * 8
+    for pair, (i, j, _) in realizations._LAMBDA_PATTERNS:
+        mu = realizations._YIDX[pair]
+        r = eng.value((i, j, j, M.yi(mu)))
+        if iszero(r):
+            raise ValueError("degenerate point")
+        lam[mu] = Fraction(1) / r
+    rows = beta_shift_rows(_KERNEL_TUPLES, [M.yi(mu) for mu in range(8)], eng.value, lam)
+    tflat = _solve_reference(rows, [-eng.value(tup) for tup in _KERNEL_TUPLES])
+    t = [tflat[8 * i:8 * (i + 1)] for i in range(3)]
+    beta_bar = []
+    for mu in range(8):
+        v = [0] * 14
+        v[M.yi(mu)] = lam[mu]
+        beta_bar.append(tuple(v))
+    alpha_tilde = []
+    for i in range(3):
+        v = list(e(i))
+        for mu in range(8):
+            if t[i][mu] != 0:
+                v[M.yi(mu)] += t[i][mu] * lam[mu]
+        alpha_tilde.append(tuple(v))
+    g = metric_at_reference(M, P)
+    gbb = [[g.apply(beta_bar[mu], beta_bar[nu]) for nu in range(8)] for mu in range(8)]
+    beta = []
+    for nu in range(8):
+        v = list(beta_bar[nu])
+        for i in range(3):
+            d = 0
+            for mu in range(8):
+                d = d + gbb[mu][nu] * t[i][mu]
+            v[M.xsi(i)] += -d
+        beta.append(tuple(v))
+    vectors = {}
+    for i in range(3):
+        v = list(alpha_tilde[i])
+        for j in range(3):
+            gij = g.apply(alpha_tilde[i], alpha_tilde[j])
+            if gij != 0:
+                v[M.xsi(j)] -= gij / Fraction(2)
+        vectors[f"a{i + 1}"] = tuple(v)
+        vectors[f"a{i + 1}*"] = e(M.xsi(i))
+    for (bi, bj), mu in realizations._YIDX.items():
+        vectors[f"b{bi},{bj}"] = beta[mu]
+    return vectors

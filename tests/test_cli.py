@@ -250,6 +250,19 @@ def test_geometry_xi_sweep_exponential(capsys, exp_json, tmp_path):
     assert all(abs(float(r[1])) < 1e-9 for r in rows[1:])
 
 
+def test_geometry_xi_long_sweep_ends_on_its_stop(capsys, exp_json, tmp_path):
+    """Row k is at start + k step: 2438 rows, the last at 24.37, where a
+    running sum of steps drifts to 24.36000000000101 and stops a row short."""
+    out = tmp_path / "xi.csv"
+    rc, payload, _ = run(capsys, "--out", str(out), "geometry", "m-phi", "xi",
+                         "--params", exp_json, "--sweep", "x1=0:24.37:0.01")
+    assert rc == 0
+    assert payload["checks"][0]["stats"] == {"rows": 2438}
+    xs = [float(r[0]) for r in list(csv.reader(out.open()))[1:]]
+    assert xs == [k * 0.01 for k in range(2438)]
+    assert xs[-1] == 2437 * 0.01 and abs(xs[-1] - 24.37) < 1e-12
+
+
 def test_geometry_xi_point_frame_vs_direct(capsys, exp_json):
     rc, payload, _ = run(capsys, "geometry", "m-phi", "xi",
                          "--params", exp_json,
@@ -403,6 +416,31 @@ def test_psi_reading_outside_the_x_block_is_usage_error(capsys, tmp_path,
                            "--velocity", point)
     assert rc == 2
     assert payload is None and err.startswith("error: ") and msg in err
+
+
+@pytest.mark.parametrize("sub", ["curvature", "nabla-r", "geodesic"])
+def test_singular_c_is_usage_error(capsys, tmp_path, sub):
+    """A singular C is refused when the metric file is read, in every
+    subcommand alike: no report, no traceback."""
+    path = tmp_path / "metric.json"
+    path.write_text('{"a": 1, "b": 1, "C": [[0]], "psi": {"1,1": [{"var": 1}]}}')
+    rc, payload, err = run(capsys, "geometry", str(path), sub, "--point", "[1, 1, 1]")
+    assert rc == 2
+    assert payload is None and "Traceback" not in err
+    assert err.splitlines() == ["error: matrix is singular"]
+
+
+@pytest.mark.parametrize("sub", ["verify-0-model", "xi"])
+def test_frame_subcommands_need_the_family_shape(capsys, tmp_path, sub):
+    """verify-0-model and xi build the normalized frame, which needs a=3,
+    b=8: another shape is a usage error before any point is tried."""
+    path = tmp_path / "metric.json"
+    path.write_text('{"a": 1, "b": 1, "C": [[1]], "psi": {"1,1": [{"var": 1}]}}')
+    rc, payload, err = run(capsys, "geometry", str(path), sub)
+    assert rc == 2
+    assert payload is None and err.splitlines() == [
+        f"error: {sub} needs the a=3, b=8 family of the normalized frame, "
+        "got a metric with a=1, b=1"]
 
 
 @pytest.mark.parametrize("family, content", [

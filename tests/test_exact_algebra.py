@@ -2,19 +2,22 @@
 polynomial layers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtcurv import scalars
+from jtcurv import linalg, scalars
 from jtcurv.expr import EvalError, FnExpr
 from jtcurv.linalg import (BilinearForm, DegenerateFormError,
                            SingularMatrixError, identity, mat_inv,
                            mat_mul, nullspace_basis, rank, row_space_basis,
                            rref, solve)
 from jtcurv.poly import Poly
+
+from helpers import rref_reference, typed
 
 fractions_st = st.fractions(min_value=-20, max_value=20,
                             max_denominator=12)
@@ -94,6 +97,78 @@ def test_integer_input_stays_exact():
     R, _ = rref(A)
     assert all(isinstance(x, Fraction) for row in R for x in row)
     assert BilinearForm([[0, 1], [1, 0]]).signature() == (1, 1)
+
+
+def _sparse_matrices(rng):
+    """Seeded matrices of the kinds rref meets, most entries zero: exact
+    (Fraction, with int entries), float (zeros of both signs), mixed like
+    the float shift rows of normalize_basis_0 (Fraction(0) beside nonzero
+    floats and a few exact nonzeros), exact ones with a few floats or with
+    one row of floats or float zeros, and each with a dependent row
+    appended."""
+
+    def exact():
+        if rng.random() < 0.6:
+            return rng.choice([Fraction(0), 0])
+        return rng.choice([Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                           rng.randint(-3, 3)])
+
+    def floating():
+        if rng.random() < 0.5:
+            return rng.choice([0.0, -0.0])
+        return rng.uniform(-2.0, 2.0)
+
+    def mixed():
+        u = rng.random()
+        if u < 0.55:
+            return Fraction(0)
+        if u < 0.65:
+            return rng.choice([0, 0.0, -0.0, Fraction(rng.randint(-3, 3), 2)])
+        return rng.uniform(-2.0, 2.0)
+
+    def float_zeros():
+        x = exact()
+        return x if x else rng.choice([0.0, -0.0])
+
+    def sprinkled():
+        return floating() if rng.random() < 0.15 else exact()
+
+    out = []
+    kinds = [(exact, exact), (floating, floating), (mixed, mixed),
+             # exact pivot rows that a float factor reduces later; exact
+             # rows below one with float zeros, which exact factors carry
+             # into them
+             (sprinkled, sprinkled), (floating, exact), (float_zeros, exact)]
+    for first, rest in kinds:
+        for rows, cols in ((6, 25), (8, 16), (10, 7), (5, 5), (7, 7)):
+            A = [[(rest if r else first)() for _ in range(cols)] for r in range(rows)]
+            out.append(A)
+            out.append(A + [[x - 2 * y for x, y in zip(A[0], A[1])]])
+    return out
+
+
+def test_sparse_rref_matches_dense_reference(monkeypatch):
+    """rref skips the arithmetic on the exact zeros of the pivot row: every
+    entry of rref, solve, nullspace_basis and mat_inv still equals the dense
+    elimination's in value, type and sign (helpers.typed)."""
+
+    def results(A):
+        out = [typed(rref(A)), typed(nullspace_basis(A))]
+        for f, args in ((solve, ([row[:-1] for row in A], [row[-1] for row in A])),
+                        (mat_inv, ([row[:len(A)] for row in A],))):
+            try:
+                out.append(typed(f(*args)))
+            except SingularMatrixError as err:
+                out.append(str(err))
+        return out
+
+    mats = _sparse_matrices(random.Random(22))
+    got = [results(A) for A in mats]
+    monkeypatch.setattr(linalg, "rref", rref_reference)
+    want = [results(A) for A in mats]
+    assert got == want
+    # the cases reach both outcomes of solve and of mat_inv
+    assert {type(g[2]) for g in got} == {type(g[3]) for g in got} == {list, str}
 
 
 def test_solve_consistency():

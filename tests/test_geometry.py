@@ -25,7 +25,8 @@ from jtcurv.realizations import build_M_A, build_M_Phi, phi_family_specialized
 from jtcurv.scalars import close
 
 from conftest import random_afamily, rational_point
-from helpers import curvature_reference, r_partial_reference
+from helpers import (curvature_reference, metric_at_reference,
+                     r_partial_reference, typed)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,24 @@ def test_metric_at_matches_symbolic_assembly(rng):
         for u in range(M.n):
             for v in range(M.n):
                 assert G[u][v] == Ge[u][v].eval(P)
+
+
+def test_metric_at_matches_dense_reference(rng):
+    """metric_at sums over the live psi; each entry still equals the sum
+    over every mu, zero constants included, in value, type and sign: at
+    exact, float and mixed points, with zero y coordinates, and with a
+    float zero constant."""
+    metrics = [random_metric(rng, b=rng.randint(2, 8)) for _ in range(12)]
+    metrics.append(PlaneWaveMetric.from_json({
+        "a": 2, "b": 3, "C": [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+        "psi": {"1,1": [0.0, {"var": 1}, 0], "1,2": [0.0, 0, -0.0]}}))
+    for M in metrics:
+        n = M.n
+        for P in (rational_point(rng, n), tuple(rng.uniform(-1, 1) for _ in range(n)),
+                  tuple(rng.choice([0, 0.0, Fraction(0), 2, Fraction(-1, 2), 0.5, -1.5])
+                        for _ in range(n))):
+            assert typed(metric_at(M, P).entries) == \
+                typed(metric_at_reference(M, P).entries)
 
 
 def test_metric_json_roundtrip(rng):

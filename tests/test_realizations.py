@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jtcurv import realizations
+from jtcurv import planewave, realizations
 from jtcurv.expr import FnExpr
 from jtcurv.planewave import (christoffel, covariant_derivative_R,
                               curvature_at, geodesic, metric_at,
@@ -19,10 +19,12 @@ from jtcurv.realizations import (AFamily, PhiFamily, build_M_A, build_M_Phi,
                                  symmetric_space_residuals, verify_0_model,
                                  xi_from_frame, xi_invariant)
 
+import helpers
 from conftest import SYMMETRIC_A, random_afamily, rational_point
 from helpers import (XXXX_BASIS_REFERENCE, YIDX, curvature_unit_fixtures,
                      curvature_xxxx_fixtures,
-                     nabla_r_expected_full, nabla_r_fixtures,
+                     metric_at_reference, nabla_r_expected_full,
+                     nabla_r_fixtures, normalize_basis_0_reference, typed,
                      verify_0_model_reference)
 
 
@@ -222,6 +224,100 @@ def test_normalize_basis_0_matches_xxxx_basis_reference(monkeypatch):
         assert got == want
         assert {k: [type(x) for x in v] for k, v in got.items()} == \
             {k: [type(x) for x in v] for k, v in want.items()}
+
+
+def frame_cases():
+    """(metric, point) on both families: exact and float M_A (random, all
+    a_ij = 1 and the hand-solved set) at exact, float and mixed points and
+    with y = 0; M_Phi on the exponential and mixed families at float
+    points and at the Xi points (x1, 0, ..., 0), |x1| up to 27."""
+    rng = random.Random(22)
+    ones = AFamily({(i, j): Fraction(1) for i in (1, 2, 3) for j in (1, 2)})
+    cases = []
+    for A in [random_afamily(rng) for _ in range(3)] + [ones, SYMMETRIC_A]:
+        M = build_M_A(A)
+        Mf = build_M_A(AFamily({k: float(v) for k, v in A.a.items()}))
+        mixed = list(rational_point(rng))
+        mixed[1], mixed[7], mixed[12] = 0.75, 0.25, -1.5
+        cases += [(M, rational_point(rng)), (M, tuple(mixed)),
+                  (M, rational_point(rng)[:6] + (Fraction(0),) * 8),
+                  (Mf, tuple(rng.uniform(-2.0, 2.0) for _ in range(14))),
+                  (Mf, rational_point(rng))]
+    for M in (build_M_Phi(exp_phi_family()), build_M_Phi(exp_mix_phi_family())):
+        cases += [(M, tuple(rng.uniform(-2.0, 2.0) for _ in range(14)))
+                  for _ in range(4)]
+        cases += [(M, (x1,) + (0.0,) * 13)
+                  for x1 in (-27.0, -6.5, -0.3, 0.4, 2.25, 13.0, 27.0)]
+    return cases
+
+
+def test_normalize_basis_0_matches_dense_reference():
+    """The frame is built from the nonzero data (R at the held keys, the
+    nonzero C entries, the sparse shift solve); every vector entry and the
+    metric it carries equal the dense construction's in value, type and
+    sign (helpers.typed), and a degenerate point raises in both."""
+    built = 0
+    for M, P in frame_cases():
+        try:
+            want = normalize_basis_0_reference(M, P)
+        except ValueError:
+            with pytest.raises(ValueError):
+                normalize_basis_0(M, P)
+            continue
+        frame = normalize_basis_0(M, P)
+        assert list(frame.vectors) == list(want)
+        assert typed(frame.vectors) == typed(want)
+        assert typed(frame.metric.entries) == typed(metric_at_reference(M, P).entries)
+        built += 1
+    assert built >= 45
+
+
+def test_shift_sums_turn_float_where_the_dense_sums_do(rng, monkeypatch):
+    """A shift solve mixing a float t_i^1 with exact t_i^7 and t_i^8 (a
+    point mixing exact and float coordinates can give one): the dense sum
+    over mu turns float at t_i^1, before it adds the two exact terms 1/10
+    and 1/5 of b4,1's x* entries, and so does the frame's sum."""
+    t = [Fraction(0)] * 24
+    for i in range(3):
+        t[8 * i], t[8 * i + 6], t[8 * i + 7] = 0.5, Fraction(-1, 5), Fraction(4, 5)
+    monkeypatch.setattr(realizations, "solve", lambda A, b: tuple(t))
+    monkeypatch.setattr(helpers, "_solve_reference", lambda A, b: tuple(t))
+    M, P = build_M_A(random_afamily(rng)), rational_point(rng)
+    got = normalize_basis_0(M, P).vectors
+    assert typed(got) == typed(normalize_basis_0_reference(M, P))
+    assert got["b4,1"][3:6] == (-(0.1 + 0.2),) * 3 != (-0.3,) * 3
+
+
+def test_frame_reads_held_keys_through_one_engine(rng, monkeypatch):
+    """normalize_basis_0 computes R at the canonical keys M.riemann holds
+    only, and verify_0_model and xi_invariant each build one _CovREngine:
+    the frame's, which they read on."""
+    engines, computed = [], []
+    init, compute = planewave._CovREngine.__init__, planewave._CovREngine._compute
+
+    def counted(self, *args):
+        engines.append(self)
+        init(self, *args)
+
+    def recorded(self, idx4, dirs):
+        computed.append((idx4, dirs))
+        return compute(self, idx4, dirs)
+
+    monkeypatch.setattr(planewave._CovREngine, "__init__", counted)
+    monkeypatch.setattr(planewave._CovREngine, "_compute", recorded)
+    mphi = build_M_Phi(exp_phi_family())
+    for M, P in [(build_M_A(random_afamily(rng)), rational_point(rng)),
+                 (mphi, tuple(rng.uniform(-1.0, 1.0) for _ in range(14)))]:
+        frame = normalize_basis_0(M, P)
+        assert computed and all(d == () and k in M.riemann for k, d in computed)
+        assert engines == [frame.engine]
+        engines.clear()
+        assert verify_0_model(M, P, rel=1e-10).holds
+        assert len(engines) == 1
+        engines.clear()
+        computed.clear()
+    xi_invariant(build_M_Phi(exp_mix_phi_family()), (0.4,) + (0.0,) * 13)
+    assert len(engines) == 1
 
 
 def test_verify_0_model_m_phi_polynomial(rng):

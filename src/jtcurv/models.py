@@ -90,10 +90,10 @@ class CurvatureTensor:
             self.data[canon] = v
 
     def value(self, i, j, k, l):
+        """A[i, j, k, l]: Fraction(0) off the support, with no arithmetic."""
         canon, sign = canonicalize_riemann((i, j, k, l))
-        if canon is None:
-            return Fraction(0)
-        return sign * self.data.get(canon, Fraction(0))
+        v = self.data.get(canon, _ZERO)  # canon None is never a key
+        return v if sign > 0 or v is _ZERO else -v
 
     def items_full(self):
         """All nonzero components, expanded over the full symmetry orbits."""

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .linalg import nullspace_basis, transpose
 from .models import M14_LABELS, CheckReport, Model0
-from .scalars import REL_TOL, as_divisor, close
+from .scalars import REL_TOL, as_divisor, close, is_exact
 
 _LAB = {name: i for i, name in enumerate(M14_LABELS)}
 
@@ -45,7 +46,7 @@ _BETA_IDX = [_LAB[b] for b in BETA_LABELS]
 _ALPHA = [_LAB["a1"], _LAB["a2"], _LAB["a3"]]
 _STAR = [_LAB["a1*"], _LAB["a2*"], _LAB["a3*"]]
 
-_HALF = Fraction(1, 2)
+_ZERO, _ONE, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 #: X_nu, in BETA_LABELS order, as {(p, q): x} over the 0-based matrix units:
 #: E23, -E32, E31, -E13, -E21, E12, (E33 - E22) / 2 and (E11 - E33) / 2
 _BETA_MATRICES = ({(1, 2): 1}, {(2, 1): -1}, {(2, 0): 1}, {(0, 2): -1},
@@ -75,7 +76,8 @@ def lift(g):
     """The symmetry over g in SL_pm(3) (module docstring): alpha_j ->
     sum_i g_ij alpha_i, alpha* block g^-t = det(g) C, and beta_nu ->
     det(g) g X_nu g^-1 = g X_nu C^t, as det(g) = +-1; no elimination runs.
-    Zeros stay Fraction(0), and exact g gives Fraction entries."""
+    Zeros stay Fraction(0), and exact g gives Fraction entries; a float
+    entry that overflows, or underflows to 0.0, raises ValueError."""
     C, det = _cofactors(g)
     if not close(abs(det), 1):
         raise ValueError("lift requires det g = 1 or -1")
@@ -86,9 +88,12 @@ def lift(g):
     for nu, X in enumerate(_BETA_MATRICES):
         for ((p, q), x), ((r, s), (mu, k)) in itertools.product(X.items(), _BETA_READ.items()):
             if g[r][p] and C[s][q]:  # (g E_pq C^t)_rs = g_rp C_sq
-                _add(acc, (_BETA_IDX[mu], _BETA_IDX[nu]), k * x * g[r][p] * C[s][q])
+                t = k * x * g[r][p] * C[s][q]  # 0.0 by underflow only: made inf
+                _add(acc, (_BETA_IDX[mu], _BETA_IDX[nu]), t if t else math.inf)
     T = [[Fraction(0)] * len(M14_LABELS) for _ in M14_LABELS]
     for (i, j), v in acc.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"lift entry ({M14_LABELS[i]}, {M14_LABELS[j]}) leaves binary64")
         if v:
             T[i][j] = as_divisor(v)  # an int becomes a Fraction, as in Fraction(0) + v
     return T
@@ -288,11 +293,13 @@ def kernel_element(m: Model0, b, c_skew=None):
     The symmetric part of c and all of d are forced by <.,.>-preservation:
     d_nu^i = -sum_mu <beta_nu, beta_mu> b_i^mu and
     c_(ij) = -1/2 sum <beta_nu, beta_mu> b_i^nu b_j^mu = 1/2 sum_nu b_i^nu d_nu^j.
+    The admissibility sums skip zero constraint entries, and _kernel_matrix
+    the zero terms of exact data: T is the dense sums' in value and type.
     """
     b = [[Fraction(x) for x in row] for row in b]
     flat = [x for row in b for x in row]
     for row in kernel_constraint_matrix(m):
-        if sum(r * x for r, x in zip(row, flat)) != 0:
+        if sum(r * x for r, x in zip(row, flat) if r) != 0:
             raise ValueError("b coefficients violate the curvature constraints")
     if c_skew is None:
         c_skew = [[Fraction(0)] * 3 for _ in range(3)]
@@ -304,31 +311,38 @@ def kernel_element(m: Model0, b, c_skew=None):
 
 
 def _kernel_matrix(m: Model0, b, c_skew):
-    """kernel_element's T for Fraction b and c_skew, without its checks."""
+    """kernel_element's T for b and c_skew, without its checks.  When b and
+    the beta-Gram block are exact, its sums skip the zero terms, each an
+    exact zero; either way they give the dense sums in value and type."""
     G = m.form.entries
-    n = m.n
-    T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # d[i][nu] = d_nu^i
-    d = [[-sum(G[_BETA_IDX[nu]][_BETA_IDX[mu]] * b[i][mu] for mu in range(8))
-          for nu in range(8)] for i in range(3)]
+    block = [[G[p][q] for q in _BETA_IDX] for p in _BETA_IDX]
+    exact = all(map(is_exact, itertools.chain(*b, *block)))
+    T = [[_ONE if i == j else _ZERO for j in range(m.n)] for i in range(m.n)]
+    gram = [[(mu, g) for mu, g in enumerate(row) if g or not exact] for row in block]
+    d = [[-sum((g * bi[mu] for mu, g in row if bi[mu] or not exact), _ZERO)
+          for row in gram] for bi in b]  # d[i][nu] = d_nu^i, summed from _ZERO as from 0
     for i in range(3):
-        col = _LAB[f"a{i + 1}"]
         for nu in range(8):
-            T[_BETA_IDX[nu]][col] += b[i][nu]
-            T[_STAR[i]][_BETA_IDX[nu]] += d[i][nu]
+            if b[i][nu] or not exact:
+                T[_BETA_IDX[nu]][_ALPHA[i]] += b[i][nu]
+            if d[i][nu] or not exact:
+                T[_STAR[i]][_BETA_IDX[nu]] += d[i][nu]
         for j in range(3):
-            c_sym = Fraction(1, 2) * sum(b[i][nu] * d[j][nu] for nu in range(8))
-            T[_STAR[j]][col] += c_sym + Fraction(c_skew[i][j])
+            c_sym = _HALF * sum((x * y for x, y in zip(b[i], d[j])
+                                 if x and y or not exact), _ZERO)
+            T[_STAR[j]][_ALPHA[i]] += c_sym + Fraction(c_skew[i][j])
     return T
 
 
 def random_kernel_element(m: Model0, rng):
-    """A random element of ker(tau) with small integer parameters."""
-    basis = kernel_basis_b(m)
-    flat = [Fraction(0)] * 24
-    for v in basis:
+    """A random element of ker(tau) with small integer parameters.  The
+    combination of the basis skips only exact-zero terms c * y."""
+    flat = [_ZERO] * 24
+    for v in kernel_basis_b(m):
         c = Fraction(rng.randint(-3, 3))
-        flat = [x + c * y for x, y in zip(flat, v)]
+        for k, y in enumerate(v):
+            if y and c or not is_exact(y):
+                flat[k] += c * y
     b = [flat[8 * i:8 * (i + 1)] for i in range(3)]
     s01, s02, s12 = (Fraction(rng.randint(-3, 3)) for _ in range(3))
     c_skew = [[0, s01, s02], [-s01, 0, s12], [-s02, -s12, 0]]

@@ -16,7 +16,8 @@ from jtcurv.planewave import CoordTensor, _CovREngine, metric_at
 from jtcurv.scalars import iszero
 from jtcurv.realizations import Y_PAIRS
 from jtcurv.scalars import REL_TOL, as_divisor, close, is_exact
-from jtcurv.symmetry import _KERNEL_TUPLES, beta_shift_rows
+from jtcurv.symmetry import (_ALPHA, _BETA_IDX, _KERNEL_TUPLES, _STAR,
+                             beta_shift_rows, kernel_basis_b)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -846,3 +847,48 @@ def normalize_basis_0_reference(M, P):
     for (bi, bj), mu in realizations._YIDX.items():
         vectors[f"b{bi},{bj}"] = beta[mu]
     return vectors
+
+
+# ---------------------------------------------------------------------------
+# the dense kernel elements and tensor reads the sparse ones must reproduce
+# in value and type
+
+
+def tensor_value_reference(tensor, i, j, k, l):
+    """CurvatureTensor.value as a signed product: sign * A[canon], with a
+    Fraction(0) for an absent component and for one forced to zero."""
+    canon, sign = canonicalize_riemann((i, j, k, l))
+    if canon is None:
+        return Fraction(0)
+    return sign * tensor.data.get(canon, Fraction(0))
+
+
+def kernel_matrix_reference(m, b, c_skew):
+    """symmetry._kernel_matrix with dense sums: d over every beta-Gram entry
+    and c_sym over every nu, each from 0, and every entry of T updated."""
+    G = m.form.entries
+    n = m.n
+    T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [[-sum(G[_BETA_IDX[nu]][_BETA_IDX[mu]] * b[i][mu] for mu in range(8))
+          for nu in range(8)] for i in range(3)]
+    for i in range(3):
+        for nu in range(8):
+            T[_BETA_IDX[nu]][_ALPHA[i]] += b[i][nu]
+            T[_STAR[i]][_BETA_IDX[nu]] += d[i][nu]
+        for j in range(3):
+            c_sym = Fraction(1, 2) * sum(b[i][nu] * d[j][nu] for nu in range(8))
+            T[_STAR[j]][_ALPHA[i]] += c_sym + Fraction(c_skew[i][j])
+    return T
+
+
+def random_kernel_element_reference(m, rng):
+    """symmetry.random_kernel_element with the dense combination of the
+    basis: every entry x + c * y, zeros included, with the same draws."""
+    flat = [Fraction(0)] * 24
+    for v in kernel_basis_b(m):
+        c = Fraction(rng.randint(-3, 3))
+        flat = [x + c * y for x, y in zip(flat, v)]
+    b = [flat[8 * i:8 * (i + 1)] for i in range(3)]
+    s01, s02, s12 = (Fraction(rng.randint(-3, 3)) for _ in range(3))
+    c_skew = [[0, s01, s02], [-s01, 0, s12], [-s02, -s12, 0]]
+    return kernel_matrix_reference(m, b, c_skew)

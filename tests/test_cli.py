@@ -142,6 +142,22 @@ def test_symmetry_bad_dilatation(capsys):
     assert "a1*a2*a3" in err
 
 
+@pytest.mark.parametrize("params", ["1e160,1e-160,1", "1e-250,1e125,1e125"])
+def test_symmetry_float_lift_outside_binary64(capsys, params):
+    """A float lift with an entry past binary64 (a1/a2 = 1e320 overflows; with
+    a1 = 1e-250 a product of nonzero entries underflows to 0.0) is bad input,
+    not a failed claim: exit 2, no verdict, no traceback."""
+    rc = main(["--mode", "float", "symmetry", "m14", "--generator",
+               f"dilatation:{params}"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: lift entry (b") and "leaves binary64" in err
+    assert "Traceback" not in err
+    rc, payload, _ = run(capsys, "--mode", "float", "symmetry", "m14",
+                         "--generator", "dilatation:1e150,1e-150,1")
+    assert rc == 0 and payload["verdict"] == "holds"
+
+
 @pytest.mark.parametrize("gen, message", [
     ("swap12:5,7", "0 positional arguments but 2"),
     ("swap13:1", "0 positional arguments but 1"),

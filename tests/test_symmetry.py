@@ -15,8 +15,10 @@ from jtcurv import (dilatation, is_symmetry, kernel_basis_b,
                     swap_first_third, tau)
 from jtcurv import symmetry
 from jtcurv.expr import FnExpr
-from jtcurv.linalg import identity, mat_inv, mat_mul, rank, transpose
-from jtcurv.models import M14_LABELS, riemann_orbit
+from jtcurv.linalg import (BilinearForm, identity, mat_inv, mat_mul, rank,
+                           transpose)
+from jtcurv.models import (M14_LABELS, CurvatureTensor, Model0,
+                           canonicalize_riemann, riemann_orbit)
 from jtcurv.planewave import curvature_at
 from jtcurv.realizations import (build_M_A, build_M_Phi, normalize_basis_0,
                                  phi_family_specialized)
@@ -24,9 +26,11 @@ from jtcurv.scalars import REL_TOL, close
 from jtcurv.symmetry import lift, pullback
 
 from conftest import random_afamily, rational_point
-from helpers import (canonical_part, dilatation_reference, pullback_reference,
-                     rotation_reference, swap_first_second_reference,
-                     swap_first_third_reference)
+from helpers import (canonical_part, dilatation_reference,
+                     kernel_matrix_reference, pullback_reference,
+                     random_kernel_element_reference, rotation_reference,
+                     swap_first_second_reference, swap_first_third_reference,
+                     tensor_value_reference, typed)
 
 
 def det3(T):
@@ -406,3 +410,86 @@ def test_kernel_skew_only_element(m14):
     T = kernel_element(m14, b, c)
     assert is_symmetry(m14, T).holds
     assert tau(T) == identity(3)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel sums and tensor reads against the dense ones, entry for
+# entry in value and type (typed compares floats by float.hex)
+
+
+def _float_variants(m):
+    """m with a float form (its zeros 0.0 too), a float tensor, or both."""
+    G = [[float(x) for x in row] for row in m.form.entries]
+    A = CurvatureTensor(m.n)
+    A.data = {idx: float(v) for idx, v in m.tensor.data.items()}
+    return {"form": Model0(BilinearForm(G), m.tensor, labels=m.labels),
+            "tensor": Model0(m.form, A, labels=m.labels),
+            "both": Model0(BilinearForm(G), A, labels=m.labels)}
+
+
+def _admissible_b(m, rng):
+    flat = [Fraction(0)] * 24
+    for v in kernel_basis_b(m):
+        c = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4)))  # dyadic: exact as a float
+        flat = [x + c * y for x, y in zip(flat, v)]
+    return [flat[8 * i:8 * (i + 1)] for i in range(3)]
+
+
+def test_random_kernel_elements_match_dense_reference(m14):
+    """200 seeded draws: every entry of T is the dense combination's, and
+    both take the same draws (their generators end in the same state)."""
+    rng, ref = random.Random(23), random.Random(23)
+    for _ in range(200):
+        T = random_kernel_element(m14, rng)
+        assert typed(T) == typed(random_kernel_element_reference(m14, ref))
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("variant", ["form", "tensor", "both"])
+def test_random_kernel_elements_match_dense_reference_on_float_models(m14, variant):
+    m = _float_variants(m14)[variant]
+    rng, ref = random.Random(5), random.Random(5)
+    for _ in range(10):
+        T = random_kernel_element(m, rng)
+        assert typed(T) == typed(random_kernel_element_reference(m, ref))
+
+
+@pytest.mark.parametrize("c_skew", [
+    None, [[0] * 3] * 3,
+    [[0, Fraction(2), Fraction(-1, 3)], [Fraction(-2), 0, 5], [Fraction(1, 3), -5, 0]],
+    [[0.0, 0.5, -0.0], [-0.5, 0.0, 0.0], [0.0, -0.0, 0.0]],
+])
+@pytest.mark.parametrize("variant", ["exact", "form", "tensor", "both"])
+def test_kernel_element_matches_dense_reference(m14, c_skew, variant):
+    m = m14 if variant == "exact" else _float_variants(m14)[variant]
+    zero = [[Fraction(0)] * 3 for _ in range(3)]
+    rng = random.Random(7)
+    for b in [[[Fraction(0)] * 8 for _ in range(3)]] + [_admissible_b(m14, rng) for _ in range(5)]:
+        want = kernel_matrix_reference(m, b, zero if c_skew is None else c_skew)
+        assert typed(kernel_element(m, b, c_skew)) == typed(want)
+
+
+def test_tensor_value_matches_signed_product(m14):
+    """Every 4-tuple of indices, exact and float tensors: an absent or
+    forced component is Fraction(0), and a negated float is -1 * v bit for
+    bit."""
+    A = CurvatureTensor(14)
+    A.data = {idx: float(v) for idx, v in m14.tensor.data.items()}
+    A.data[0, 1, 0, 1] = 1e-300
+    A.data[0, 1, 0, 2] = -1 / 3
+    for tensor in (m14.tensor, A):
+        for idx in itertools.product(range(14), repeat=4):
+            assert typed(tensor.value(*idx)) == typed(tensor_value_reference(tensor, *idx))
+    for (i, j, k, l), v in A.data.items():
+        assert canonicalize_riemann((j, i, k, l)) == ((i, j, k, l), -1)
+        assert A.value(j, i, k, l).hex() == (-1 * v).hex()
+
+
+def test_float_lift_outside_binary64_is_rejected(m14):
+    """An entry that overflows (a1/a2 = 1e320) or a product of nonzero
+    factors that underflows to 0.0 raises ValueError naming the entry;
+    inside the range the float lift is a symmetry."""
+    for a in ((1e160, 1e-160, 1.0), (1e-250, 1e125, 1e125)):
+        with pytest.raises(ValueError, match=r"lift entry \(b\d,\d, b\d,\d\) leaves binary64"):
+            dilatation(*a)
+    assert is_symmetry(m14, dilatation(1e150, 1e-150, 1.0)).holds

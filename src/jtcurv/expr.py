@@ -77,7 +77,7 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 class FnExpr:
     """Immutable scalar expression in variables x1..xa (1-based indices)."""
 
-    __slots__ = ("op", "args", "value", "index", "_dcache", "_compiled")
+    __slots__ = ("op", "args", "value", "index", "_dcache", "_compiled", "_poly")
 
     def __init__(self, op, args=(), value=None, index=None):
         self.op = op
@@ -85,7 +85,7 @@ class FnExpr:
         self.value = value
         self.index = index
         self._dcache = {}
-        self._compiled = None
+        self._compiled = self._poly = None
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -281,7 +281,12 @@ class FnExpr:
     def is_polynomial(self):
         """True for a polynomial with exact coefficients: no exp, log, sin or
         cos node, every constant exact, and ``/`` and negative powers only
-        applied to subtrees with no variable."""
+        applied to subtrees with no variable; cached on the (immutable) node."""
+        if self._poly is None:
+            self._poly = self._is_polynomial()
+        return self._poly
+
+    def _is_polynomial(self):
         op = self.op
         if op == "const":
             return is_exact(self.value)

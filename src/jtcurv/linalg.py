@@ -129,7 +129,9 @@ def nullspace_basis(A):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
+            x = R[r][fc]
+            if type(x) is not Fraction or x:  # a float zero still flips sign
+                v[pc] = -x
         basis.append(tuple(v))
     return basis
 

@@ -1,8 +1,9 @@
 """Hand-transcribed component fixtures for the constant-coefficient
 plane-wave family, shared between the unit suite and the acceptance suite,
 reference loops for the closed-form curvature of a plane-wave metric, the
-pointwise recursion for its iterated covariant derivatives, and the plain
-scans and contractions of nabla^k R over coordinate index tuples."""
+pointwise recursion for its iterated covariant derivatives, the plain
+scans and contractions of nabla^k R over coordinate index tuples, and the
+Fraction-coefficient polynomial (PolyReference) that Poly reproduces."""
 
 import itertools
 from fractions import Fraction
@@ -892,3 +893,126 @@ def random_kernel_element_reference(m, rng):
     s01, s02, s12 = (Fraction(rng.randint(-3, 3)) for _ in range(3))
     c_skew = [[0, s01, s02], [-s01, 0, s12], [-s02, -s12, 0]]
     return kernel_matrix_reference(m, b, c_skew)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-coefficient polynomial that jtcurv.poly.Poly must reproduce
+
+
+class PolyReference:
+    """jtcurv.poly.Poly as a tuple of Fraction coefficients, every operation
+    in Fraction arithmetic: the values, types and float bits Poly keeps."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def const(c):
+        return PolyReference((Fraction(c),))
+
+    @staticmethod
+    def t():
+        return PolyReference((Fraction(0), Fraction(1)))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = PolyReference.const(other)
+        return isinstance(other, PolyReference) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a constant changes the constant coefficient only
+            a = self.coeffs or (Fraction(0),)
+            return PolyReference((a[0] + other,) + a[1:])
+        if not isinstance(other, PolyReference):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return PolyReference([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PolyReference(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        if not isinstance(other, (int, Fraction, PolyReference)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return PolyReference(c * other for c in self.coeffs)
+        if not isinstance(other, PolyReference):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return PolyReference()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b != 0:
+                    out[i + j] += a * b
+        return PolyReference(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division of polynomial by zero")
+            return PolyReference(c / other for c in self.coeffs)
+        return NotImplemented
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        out = PolyReference.const(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def eval(self, x):
+        acc = Fraction(0) if not isinstance(x, float) else 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * x + (c if not isinstance(x, float) else float(c))
+        return acc
+
+    __call__ = eval
+
+    def deriv(self):
+        return PolyReference(k * c for k, c in enumerate(self.coeffs) if k > 0)
+
+    def integrate(self):
+        return PolyReference([Fraction(0)]
+                             + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "Poly(0)"
+        terms = [f"{c}*t^{k}" if k else f"{c}" for k, c in enumerate(self.coeffs) if c != 0]
+        return "Poly(" + " + ".join(terms) + ")"

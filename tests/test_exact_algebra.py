@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jtcurv import linalg, scalars
@@ -17,7 +17,7 @@ from jtcurv.linalg import (BilinearForm, DegenerateFormError,
                            rref, solve)
 from jtcurv.poly import Poly
 
-from helpers import rref_reference, typed
+from helpers import PolyReference, rref_reference, typed
 
 fractions_st = st.fractions(min_value=-20, max_value=20,
                             max_denominator=12)
@@ -373,3 +373,83 @@ def test_poly_negative_power_is_refused():
     # the square-and-multiply loop would never end on a negative exponent
     with pytest.raises(TypeError):
         Poly.t() ** -1
+
+
+#: every Poly method the benchmark tracer patches, with its operand count
+POLY_TRACED = {"__add__": 1, "__radd__": 1, "__sub__": 1, "__rsub__": 1,
+               "__neg__": 0, "__mul__": 1, "__rmul__": 1, "__truediv__": 1,
+               "__pow__": 1, "eval": 1, "__call__": 1, "deriv": 0, "integrate": 0}
+
+#: coefficients, some with numerators and denominators past 2**53, where
+#: float(n) / den would round twice
+coeff_lists_st = st.lists(st.one_of(
+    st.integers(-40, 40), fractions_st,
+    st.fractions(-10**6, 10**6, max_denominator=10**25)), max_size=6)
+#: an operand: an int, a Fraction, a float (which arithmetic refuses) or
+#: the coefficients of a polynomial
+operand_st = st.one_of(st.integers(-8, 8), fractions_st, st.floats(-4, 4),
+                       coeff_lists_st.map(tuple))
+
+
+def _canonical(p):
+    """Poly's canonical form: int numerators with no trailing zero over a
+    positive denominator that shares no factor with all of them."""
+    n, d = p.nums, p.den
+    assert type(n) is tuple and all(type(c) is int for c in n) and type(d) is int
+    assert d > 0 and (not n or n[-1] != 0) and math.gcd(d, *n) == 1
+
+
+def _outcome(f, *args):
+    """What f(*args) gives, comparable across the two classes: a polynomial
+    by its typed coefficients, degree, repr and hash, a scalar by
+    helpers.typed (a float by float.hex), an ArithmeticError by class and
+    text.  A refused operand is "refused", whether the method returns
+    NotImplemented or raises TypeError (whose text names the class)."""
+    try:
+        r = f(*args)
+    except ArithmeticError as err:
+        return ("raises", type(err).__name__, str(err))
+    except TypeError:
+        return "refused"
+    if isinstance(r, Poly):
+        _canonical(r)
+    if isinstance(r, (Poly, PolyReference)):
+        return ("poly", typed(list(r.coeffs)), r.degree, r.is_zero(), repr(r), hash(r))
+    return "refused" if r is NotImplemented else typed(r)
+
+
+def _poly_outcomes(cls, cs, other, x, k):
+    p = cls(cs)
+    o = cls(other) if isinstance(other, tuple) else other
+    out = [_outcome(cls, cs), _outcome(cls.t), _outcome(lambda: p == o),
+           _outcome(lambda: o == p)]
+    if not isinstance(other, tuple):
+        out.append(_outcome(cls.const, other))
+    for name, arity in POLY_TRACED.items():
+        f = getattr(p, name)
+        if name == "__pow__":
+            out += [_outcome(f, k), _outcome(f, Fraction(k, 2))]
+        elif name in ("eval", "__call__"):
+            points = [x, float(x)] if not isinstance(x, float) else \
+                [x, Fraction(x), int(x)] if math.isfinite(x) else [x]
+            out += [_outcome(f, y) for y in points]
+        else:
+            out.append(_outcome(f, *[o] * arity))
+    return out
+
+
+@given(coeff_lists_st, operand_st, st.one_of(st.integers(-9, 9), fractions_st,
+                                             st.floats(allow_nan=True)),
+       st.integers(-2, 4))
+@example([1, Fraction(1, 2)], 0, Fraction(1, 3), -1)
+@example([Fraction(2, 3), 0, -4], Fraction(0), 2.5, -2)
+@example([], (), 0.0, 0)
+@settings(max_examples=300, deadline=None)
+def test_poly_matches_the_fraction_reference(cs, other, x, k):
+    """Poly on integer numerators over one denominator against the tuple of
+    Fractions it replaced (helpers.PolyReference), through every traced
+    method, the constructors, degree, is_zero, ==, hash and repr, with int,
+    Fraction, float and polynomial operands; division by zero and negative
+    exponents included, eval at int, Fraction and float points."""
+    assert _poly_outcomes(Poly, cs, other, x, k) == \
+        _poly_outcomes(PolyReference, cs, other, x, k)

@@ -17,12 +17,16 @@ import sys
 import warnings
 from fractions import Fraction
 
+from jtcurv import planewave
 from jtcurv.expr import FnExpr
 from jtcurv.planewave import (PlaneWaveMetric, exp_inverse, geodesic,
                               geodesic_fit, geodesic_trace_csv)
+from jtcurv.poly import Poly
 from jtcurv.realizations import build_M_A, build_M_Phi, phi_family_specialized
 
 from conftest import random_afamily, rational_point
+from helpers import PolyReference
+from test_geometry import random_metric
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "geodesic_golden.json"
 
@@ -127,6 +131,39 @@ def test_geodesic_outputs_match_the_golden_records():
         for k, (g, w) in enumerate(zip(got[kind], want[kind])):
             assert g == w, (kind, k)
     assert got == want
+
+
+def cascade_records(seed):
+    """The exact cascade beyond the golden M_A records: a seeded degree-3
+    metric (cubic psi, so Polys of higher degree) and an M_A draw, at exact
+    and float t, and exp_inverse; with the Polys the fits hold."""
+    rng = random.Random(seed)
+    out, fits = [], []
+    for M in (random_metric(rng), build_M_A(random_afamily(rng))):
+        P, v, Q = (rational_point(rng, M.n, num=3, den=3) for _ in range(3))
+        g = geodesic_fit(M, P, v, (Fraction(1),))
+        out.append({"quadrature": g.quadrature,
+                    "evaluations": evaluations(g, (Fraction(1, 2), 1, Fraction(-2, 3),
+                                                   0, 0.75, -1.25)),
+                    "exp_inverse": enc(exp_inverse(M, P, Q))})
+        fits += g._yacc + g._xacc
+    return out, fits
+
+
+def test_exact_cascade_matches_the_fraction_polynomial_reference(monkeypatch):
+    """Every exact output of the cascade, by repr and float.hex, equals the
+    one it gives with planewave's Poly replaced by the Fraction-coefficient
+    helpers.PolyReference."""
+    got, fits = zip(*map(cascade_records, range(5)))
+    monkeypatch.setattr(planewave, "Poly", PolyReference)
+    monkeypatch.setattr(planewave, "_T", PolyReference.t())
+    want, ref_fits = zip(*map(cascade_records, range(5)))
+    assert got == want
+    assert all(r["quadrature"] == "exact-poly" for rs in got for r in rs)
+    # both runs fitted their own polynomials, of degree above 3 somewhere
+    assert {type(p) for fs in fits for p in fs} == {Poly}
+    assert {type(p) for fs in ref_fits for p in fs} == {PolyReference}
+    assert max(p.degree for fs in fits for p in fs) > 3
 
 
 if __name__ == "__main__":

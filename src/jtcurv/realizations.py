@@ -339,39 +339,33 @@ def verify_0_model(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> CheckReport:
 # ---------------------------------------------------------------------------
 # the derivative-level normalization and the Xi invariant
 
-#: the two nonvanishing first-derivative patterns (labels, beta label)
-_NABLA_PATTERNS = [(("a1", "a3", "a3", "b1,1"), "a1"),
-                   (("a1", "a2", "a2", "b1,2"), "a1")]
+#: the two nonvanishing first-derivative patterns (the last label directs)
+_NABLA_PATTERNS = [("a1", "a3", "a3", "b1,1", "a1"), ("a1", "a2", "a2", "b1,2", "a1")]
+#: the frame vectors nabla R(alpha_i, alpha_j, alpha_k, beta_nu; alpha_l) reads,
+#: and every such request, as positions in that tuple
+_NABLA_LABELS = ("a1", "a2", "a3") + tuple(f"b{i},{j}" for i, j in Y_PAIRS)
+_NABLA_REQUESTS = list(itertools.product(range(3), range(3), range(3), range(3, 11),
+                                         range(3)))
 
 
-def _nabla_pattern_table(M, P, frame: Frame):
-    """All nabla R(alpha_i, alpha_j, alpha_k, beta_nu; alpha_l) values."""
-    labels = ["a1", "a2", "a3"] + [f"b{i},{j}" for i, j in Y_PAIRS]
-    requests = list(itertools.product(range(3), range(3), range(3), range(3, 11), range(3)))
-    values = nabla_R_contract(M, P, [frame.vector(s) for s in labels], requests,
-                              frame.engine)
-    return {tuple(labels[s] for s in req): v for req, v in zip(requests, values)}
-
-
-def normalize_basis_1(M: PlaneWaveMetric, P, rel: float = REL_TOL) -> Frame:
+def normalize_basis_1(M: PlaneWaveMetric, P) -> Frame:
     """0-normalized frame additionally matching the first-derivative pattern:
     exactly the two canonical nabla R contractions survive."""
     frame = normalize_basis_0(M, P)
-    table = _nabla_pattern_table(M, P, frame)
+    values = nabla_R_contract(M, P, [frame.vector(s) for s in _NABLA_LABELS],
+                              _NABLA_REQUESTS, frame.engine)
     required = set()
-    for (labels, dlab) in _NABLA_PATTERNS:
-        key = labels + (dlab,)
-        swapped = (labels[1], labels[0]) + labels[2:] + (dlab,)
-        if iszero(table[key]):
-            raise ValueError(f"derivative pattern {key} vanishes; "
+    for pattern in _NABLA_PATTERNS:
+        req = tuple(map(_NABLA_LABELS.index, pattern))
+        n = _NABLA_REQUESTS.index(req)
+        if iszero(values[n]):
+            raise ValueError(f"derivative pattern {pattern} vanishes; "
                              "the point violates the normalization hypotheses")
-        required.add(key)
-        required.add(swapped)
-    for key, val in table.items():
-        if key in required:
-            continue
-        if not close(val, 0, rel=rel):
-            raise ValueError(f"unexpected nonzero derivative component {key}: {val}")
+        required |= {n, _NABLA_REQUESTS.index((req[1], req[0]) + req[2:])}
+    for n, val in enumerate(values):
+        if n not in required and not iszero(val):
+            labels = tuple(_NABLA_LABELS[s] for s in _NABLA_REQUESTS[n])
+            raise ValueError(f"unexpected nonzero derivative component {labels}: {val}")
     return frame
 
 

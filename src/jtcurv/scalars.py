@@ -10,6 +10,7 @@ involve a float go through :func:`close` with a relative tolerance.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 #: Default relative tolerance for float comparisons.
@@ -25,11 +26,13 @@ def is_exact(x) -> bool:
 def close(a, b, rel: float = REL_TOL, scale=0) -> bool:
     """Compare two scalars: exact equality for rationals, tolerant for floats.
     scale is the size of the terms a float was summed from, which bounds
-    its rounding error better than its value does: rel * scale is a floor."""
+    its rounding error better than its value does: rel * scale is a floor.
+    No value is close to inf or NaN; an infinite tolerance asks for a == b."""
     if is_exact(a) and is_exact(b):
         return a == b
     a, b = float(a), float(b)
-    return abs(a - b) <= max(ABS_TOL, rel * max(abs(a), abs(b), scale))
+    tol = max(ABS_TOL, rel * max(abs(a), abs(b), scale))
+    return abs(a - b) <= tol if math.isfinite(tol) else math.isfinite(a) and a == b
 
 
 def as_divisor(x):
@@ -69,6 +72,8 @@ def scalar_from_json(obj):
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"scalar must be finite, got {obj!r}")
         return obj
     if isinstance(obj, str):
         return Fraction(obj)

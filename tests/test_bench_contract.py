@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import pathlib
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,31 @@ def test_traced_float_geodesic_counts_integrand_samples():
     assert tracer.stat("planewave.geodesic").calls == 1
     assert tracer.stat("planewave.integrand").calls > 0
     assert tracer.stat("planewave.quad").calls == 0
+
+
+def test_planewave_binds_the_geodesic_cascade():
+    """The tracer reads and patches the cascade's names in planewave.__dict__,
+    so planewave binds each to the object jtcurv.geodesic defines."""
+    cascade = importlib.import_module("jtcurv.geodesic")
+    for name in ("_Geodesic", "geodesic", "geodesic_fit", "geodesic_residual",
+                 "exp_inverse", "geodesic_trace_csv"):
+        assert planewave.__dict__[name] is cascade.__dict__[name], name
+
+
+def test_traced_exact_residual_charges_its_christoffel_call(ones_metric):
+    """An exact residual reads planewave.christoffel at call time, so the
+    tracer charges its one Christoffel evaluation to planewave.curvature."""
+    P = (1, 2, -1) + (0,) * 5 + (1,) + (0,) * 5
+    v = (Fraction(1, 2), 1, 0, 1) + (0,) * 6 + (2,) + (0,) * 3
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(modules())
+        residual = planewave.geodesic_residual(ones_metric, P, v, Fraction(3, 2))
+    finally:
+        tracer.uninstall()
+    assert residual == 0 and type(residual) is Fraction
+    assert tracer.stat("planewave.geodesic_residual").calls == 1
+    assert tracer.stat("planewave.curvature").calls == 1
 
 
 def test_traced_check_model_keeps_validation_span_and_products(capsys):

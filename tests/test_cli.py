@@ -1,6 +1,7 @@
 """Command-line integration: exit codes, JSON reports, CSV outputs."""
 
 import csv
+import importlib
 import json
 import pathlib
 import re
@@ -377,8 +378,9 @@ def test_unconverged_fit_fails_the_check(capsys, exp_json, tmp_path,
                                          monkeypatch, sub):
     """A fit stopped at the degree cap above the tail tolerance is a failed
     check showing its tail, even when the residual is small."""
-    monkeypatch.setattr("jtcurv.planewave._CHEB_CAP", 16)
-    monkeypatch.setattr("jtcurv.planewave._CHEB_TOL", 1e-300)
+    cascade = importlib.import_module("jtcurv.geodesic")
+    monkeypatch.setattr(cascade, "_CHEB_CAP", 16)
+    monkeypatch.setattr(cascade, "_CHEB_TOL", 1e-300)
     with pytest.warns(RuntimeWarning, match="stopped at degree 16"):
         rc, payload, _ = run(capsys, "--out", str(tmp_path / "geo.csv"),
                              "--seed", "2", "--mode", "float", "geometry",
@@ -444,6 +446,27 @@ def test_singular_c_is_usage_error(capsys, tmp_path, sub):
     assert rc == 2
     assert payload is None and "Traceback" not in err
     assert err.splitlines() == ["error: matrix is singular"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("check-model", "{}"),
+     '{"dim": 2, "form": [[0, 1e400], [3, 0]], "tensor": [], "labels": null}'),
+    (("geometry", "m-a", "curvature", "--params", "{}"), '{"a": {"1,1": 1e400}}'),
+    (("geometry", "m-phi", "curvature", "--params", "{}"),
+     '{"phi": {"1,1": {"op": "*", "args": [1e400, {"var": 1}]}}}'),
+    (("geometry", "{}", "geodesic", "--point", "[1, 1, 1]", "--velocity", "[1, 1, 1]"),
+     '{"a": 1, "b": 1, "C": [[1e400]], "psi": {"1,1": [{"var": 1}]}}'),
+])
+def test_infinite_number_in_a_file_is_usage_error(capsys, tmp_path, argv, content):
+    """JSON 1e400 parses to an infinite float, which every file refuses: the
+    non-symmetric form above passed every check while inf counted as close
+    to every number."""
+    path = tmp_path / "inf.json"
+    path.write_text(content)
+    rc, payload, err = run(capsys, *(a.format(path) for a in argv))
+    assert rc == 2
+    assert payload is None
+    assert err.splitlines() == ["error: scalar must be finite, got inf"]
 
 
 @pytest.mark.parametrize("sub", ["verify-0-model", "xi"])

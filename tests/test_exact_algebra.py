@@ -34,6 +34,30 @@ def test_close_exact_vs_float():
     assert not scalars.close(1.0, 1.0 + 1e-6)
 
 
+def test_close_refuses_infinite_and_nan_values():
+    """An infinite value made the tolerance infinite, so it was close to
+    every number; now a non-finite value is close to nothing."""
+    inf, nan = math.inf, math.nan
+    assert not scalars.close(inf, 1)
+    assert not scalars.close(1, -inf)
+    assert not scalars.close(-inf, inf)
+    assert not scalars.close(inf, inf)
+    assert not scalars.close(nan, nan)
+    assert not scalars.close(1.0, 2.0, scale=inf)
+    assert scalars.close(1.0, 1.0, scale=inf)
+
+
+def test_non_symmetric_form_with_an_infinite_entry_is_refused():
+    with pytest.raises(ValueError, match="symmetric"):
+        BilinearForm([[0.0, math.inf], [3.0, 0.0]])
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_scalar_json_refuses_non_finite_floats(x):
+    with pytest.raises(ValueError, match="finite"):
+        scalars.scalar_from_json(x)
+
+
 def test_iszero():
     assert scalars.iszero(Fraction(0))
     assert not scalars.iszero(Fraction(1, 10**18))

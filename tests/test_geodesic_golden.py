@@ -9,6 +9,7 @@ only for an intended change of output:
     PYTHONPATH=src python3 tests/test_geodesic_golden.py > tests/data/geodesic_golden.json
 """
 
+import importlib
 import io
 import json
 import pathlib
@@ -17,7 +18,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-from jtcurv import planewave
 from jtcurv.expr import FnExpr
 from jtcurv.planewave import (PlaneWaveMetric, exp_inverse, geodesic,
                               geodesic_fit, geodesic_trace_csv)
@@ -27,6 +27,9 @@ from jtcurv.realizations import build_M_A, build_M_Phi, phi_family_specialized
 from conftest import random_afamily, rational_point
 from helpers import PolyReference
 from test_geometry import random_metric
+
+#: the module jtcurv.geodesic (the package attribute of that name is the function)
+cascade = importlib.import_module("jtcurv.geodesic")
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "geodesic_golden.json"
 
@@ -152,11 +155,11 @@ def cascade_records(seed):
 
 def test_exact_cascade_matches_the_fraction_polynomial_reference(monkeypatch):
     """Every exact output of the cascade, by repr and float.hex, equals the
-    one it gives with planewave's Poly replaced by the Fraction-coefficient
+    one it gives with the cascade's Poly replaced by the Fraction-coefficient
     helpers.PolyReference."""
     got, fits = zip(*map(cascade_records, range(5)))
-    monkeypatch.setattr(planewave, "Poly", PolyReference)
-    monkeypatch.setattr(planewave, "_T", PolyReference.t())
+    monkeypatch.setattr(cascade, "Poly", PolyReference)
+    monkeypatch.setattr(cascade, "_T", PolyReference.t())
     want, ref_fits = zip(*map(cascade_records, range(5)))
     assert got == want
     assert all(r["quadrature"] == "exact-poly" for rs in got for r in rs)

@@ -507,6 +507,36 @@ def test_xi_invariant_under_admissible_frame_change(rng):
         assert abs(v2 - base) <= 1e-10 * max(1.0, abs(base))
 
 
+def test_normalize_basis_1_rejects_a_vanishing_pattern():
+    """On the symmetric M_A the first required contraction vanishes."""
+    M = build_M_A(SYMMETRIC_A)
+    with pytest.raises(ValueError) as err:
+        normalize_basis_1(M, (1, 2, -1) + (0,) * 11)
+    assert str(err.value) == ("derivative pattern ('a1', 'a3', 'a3', 'b1,1', "
+                              "'a1') vanishes; the point violates the "
+                              "normalization hypotheses")
+
+
+def test_normalize_basis_1_rejects_an_unexpected_component():
+    """With phi_{2,j} exponential as well, a contraction outside the two
+    patterns survives; the message names it by its frame labels."""
+    def exp(i, s):
+        """s exp(s x_i), as the README's phi.json writes it"""
+        x = {"var": i} if s == 1 else {"op": "*", "args": [-1, {"var": i}]}
+        e = {"op": "exp", "args": [x]}
+        return e if s == 1 else {"op": "*", "args": [-1, e]}
+
+    phi = {"1,1": exp(1, 1), "1,2": exp(1, -1), "2,1": exp(2, 1),
+           "2,2": exp(2, -1), "3,1": {"var": 3}, "3,2": {"var": 3}}
+    M = build_M_Phi(PhiFamily.from_json({"phi": phi}))
+    with pytest.raises(ValueError) as err:
+        normalize_basis_1(M, (0.5, 0.25) + (0.0,) * 12)
+    head, _, val = str(err.value).partition("): ")
+    assert head == ("unexpected nonzero derivative component ('a1', 'a2', "
+                    "'a1', 'b2,1', 'a2'")
+    assert abs(float(val) + 1) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the local-symmetry criterion
 
